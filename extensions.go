@@ -29,7 +29,7 @@ var ErrDeltaCheckpoint = core.ErrDeltaCheckpoint
 var ErrCheckpointChain = core.ErrCheckpointChain
 
 // WriteCheckpoint drains buffered updates and writes the Graph's full
-// sketch state to w in the sectioned GZE3 format (per-shard-pool parallel
+// sketch state to w in the sectioned GZE4 format (per-shard-pool parallel
 // encode, per-section CRC-32C checksums, a footer enabling parallel
 // restore). The snapshot is low-stall: ingestion is excluded only for the
 // drain and the snapshot seal — in-RAM sketches are copied shard-at-a-time
@@ -129,8 +129,8 @@ func RecoverChain(numNodes uint32, basePath string, deltaPaths []string, opts ..
 	return &Graph{engine: eng, numNodes: eng.Config().NumNodes}, rec, nil
 }
 
-// ReadCheckpoint restores a Graph from a checkpoint stream (GZE3 or legacy
-// GZE2), reading front to back; opts control deployment choices (workers,
+// ReadCheckpoint restores a Graph from a checkpoint stream (GZE4, or legacy
+// GZE3/GZE2), reading front to back; opts control deployment choices (workers,
 // buffering, disk placement) while the sketch parameters come from the
 // checkpoint. For checkpoint files prefer OpenCheckpoint, which restores
 // sections in parallel.
@@ -146,7 +146,7 @@ func ReadCheckpoint(r io.Reader, opts ...Option) (*Graph, error) {
 	return &Graph{engine: eng, numNodes: eng.Config().NumNodes}, nil
 }
 
-// OpenCheckpoint restores a Graph from a checkpoint file. GZE3 files are
+// OpenCheckpoint restores a Graph from a checkpoint file. GZE4 files are
 // decoded in parallel: the footer locates every section, and one goroutine
 // per shard worker verifies and installs whole sections (with coalesced
 // range writes in disk mode). Legacy GZE2 files fall back to the

@@ -58,12 +58,7 @@ func (e *Engine) AdoptQueryBaseline(prev *Engine) bool {
 	// that built it): a node with equal bytes is provably unchanged
 	// relative to the baseline. Workers are idle under both write locks,
 	// so the reset and re-mark cannot race a worker's Set.
-	for _, sh := range e.shards {
-		sh.dirty.ClearAll()
-		sh.before = nil
-	}
-	e.dirtyAll.Store(false)
-	e.beforeNodes.Store(0)
+	e.resetDirtyLocked()
 
 	// Diff the serialized node slots. Equal bytes mean equal sketches, so
 	// the set of differing nodes is exactly the set whose cut information
@@ -85,12 +80,8 @@ func (e *Engine) AdoptQueryBaseline(prev *Engine) bool {
 			// observed: exactly the before-image the delta query's diff
 			// materialization needs for this node. Past the capture limit
 			// the query falls back anyway, so stop storing copies.
-			if e.beforeNodes.Load() < e.beforeLimit {
-				if shA.before == nil {
-					shA.before = make(map[uint32][]byte)
-				}
-				shA.before[node] = append([]byte(nil), theirs...)
-				e.beforeNodes.Add(1)
+			if buf := e.beforeSlot(shA, node); buf != nil {
+				copy(buf, theirs)
 			}
 		}
 	}

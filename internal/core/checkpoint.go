@@ -261,7 +261,7 @@ func (e *Engine) putSectionBuf(b []byte) {
 	e.ckptBuf.Put(&b)
 }
 
-// WriteCheckpoint writes the engine's full sketch state as a GZE3 stream.
+// WriteCheckpoint writes the engine's full sketch state as a GZE4 stream.
 // The quiesce lock is held only to drain buffered updates and seal the
 // snapshot (RAM mode: shard-at-a-time slab copy into reusable arenas; disk
 // mode: installing the copy-on-write capture), then released — the
@@ -964,8 +964,8 @@ func configFromHeader(cfg Config, h checkpointHeader) Config {
 	return cfg
 }
 
-// ReadCheckpoint restores an engine from a checkpoint stream (GZE3 or
-// legacy GZE2), reading front to back. The provided config controls
+// ReadCheckpoint restores an engine from a checkpoint stream (GZE4, or
+// legacy GZE3/GZE2), reading front to back. The provided config controls
 // deployment choices (workers, buffering, disk placement); its sketch
 // parameters are overwritten by the checkpoint's. For a seekable file use
 // OpenCheckpoint, which decodes sections in parallel.
@@ -1061,7 +1061,7 @@ func consumeFooter(br *bufio.Reader, sections int) error {
 }
 
 // OpenCheckpoint restores an engine from a checkpoint file, decoding
-// sections in parallel across the shard worker pool via the GZE3 footer
+// sections in parallel across the shard worker pool via the GZE4 footer
 // (legacy GZE2 files fall back to the streaming path).
 func OpenCheckpoint(path string, cfg Config) (*Engine, error) {
 	f, err := os.Open(path)
@@ -1076,7 +1076,7 @@ func OpenCheckpoint(path string, cfg Config) (*Engine, error) {
 	return ReadCheckpointAt(f, st.Size(), cfg)
 }
 
-// ReadCheckpointAt restores an engine from a random-access GZE3
+// ReadCheckpointAt restores an engine from a random-access GZE4
 // checkpoint: the footer locates every section, and decode fans out one
 // goroutine per shard worker over whole sections (disk mode writes each
 // with a single coalesced range access). Legacy GZE2 content falls back

@@ -332,14 +332,10 @@ func (e *Engine) markChangedNode(node uint32) {
 				break
 			}
 		}
-		if first && e.beforeNodes.Load() < e.beforeLimit {
-			buf := make([]byte, e.slotSize)
-			home.slab.MarshalNode(local, buf)
-			if home.before == nil {
-				home.before = make(map[uint32][]byte)
+		if first {
+			if buf := e.beforeSlot(home, node); buf != nil {
+				home.slab.MarshalNode(local, buf)
 			}
-			home.before[node] = buf
-			e.beforeNodes.Add(1)
 		}
 	}
 	home.dirty.Set(uint64(node))

@@ -72,6 +72,13 @@ type Stats struct {
 	// everything, or the delta rounds failed to certify (rare; the full
 	// run is the correctness backstop).
 	DeltaQueries, DeltaFallbacks uint64
+	// ColumnZeroRoots counts, across all RAM-mode queries, the live roots
+	// whose round sample came from column 0 of their supernode sketch
+	// alone, with the other columns never merged. SuspectDeltaQueries
+	// counts the delta queries that demoted at least one component to
+	// full materialization because a cached forest edge had both
+	// endpoints dirty (it may have been deleted): the slow trickle mode.
+	ColumnZeroRoots, SuspectDeltaQueries uint64
 	// DirtyNodes is the number of nodes whose sketches changed since the
 	// last successfully cached query result (the union across shards'
 	// dirty vectors; NumNodes after a checkpoint merge, which dirties
@@ -174,6 +181,10 @@ type Engine struct {
 	// function after. The rebalancer tests use it to prove per-node apply
 	// exclusivity across migrations.
 	testApplyHook func(node uint32) func()
+	// testSampleRound, when non-nil (tests only), replaces sampleRound in
+	// every Boruvka round: the answer-identity tests run a reference
+	// materialization through it.
+	testSampleRound func(q *querySession, round int) ([]candidate, []uint32, error)
 
 	// quiesce separates producers (read side: ingest entry points) from
 	// quiescent phases (write side: drain, queries, checkpoints, close).
@@ -200,6 +211,9 @@ type Engine struct {
 	epoch      atomic.Uint64
 	queryCache atomic.Pointer[queryResult]
 	cacheHits  atomic.Uint64
+	// qs is the query scratch every full query reuses (query.go, session);
+	// guarded by the quiesce write lock.
+	qs *querySession
 
 	// Incremental-query state (query.go). Each shard tracks, in a padded
 	// single-writer bit vector, the nodes whose sketches its worker changed
@@ -211,6 +225,8 @@ type Engine struct {
 	dirtyAll       atomic.Bool
 	deltaQueries   atomic.Uint64
 	deltaFallbacks atomic.Uint64
+	suspectQueries atomic.Uint64
+	colZeroRoots   atomic.Uint64
 	// beforeNodes counts nodes holding a captured before-image across all
 	// shards' maps; beforeLimit stops capture just past the delta query's
 	// fallback threshold, where the images could no longer pay for
@@ -331,8 +347,11 @@ type shard struct {
 	// the live slabs to rebuild an affected supernode's cut from its dirty
 	// members alone (query.go). Single writer (this worker — apply
 	// exclusivity covers migrated slices); read, replaced and cleared only
-	// under the quiesce write lock with the workers idle.
+	// under the quiesce write lock with the workers idle. free holds slot
+	// buffers of images a cached query retired, for reuse by the next
+	// first dirtyings (beforeSlot); same single-writer discipline.
 	before map[uint32][]byte
+	free   [][]byte
 	_      [gutter.CacheLine]byte
 
 	// Worker-written counters, padded off the read-mostly fields above so
@@ -946,17 +965,52 @@ func (e *Engine) captureBefore(sh *shard, node uint32) {
 			return // not the first dirtying: the image, if any, is already right
 		}
 	}
-	if e.beforeNodes.Load() >= e.beforeLimit {
-		return
+	if buf := e.beforeSlot(sh, node); buf != nil {
+		home, local := e.shardOf(node)
+		home.slab.MarshalNode(local, buf)
 	}
-	buf := make([]byte, e.slotSize)
-	home, local := e.shardOf(node)
-	home.slab.MarshalNode(local, buf)
+}
+
+// beforeSlot records a new before-image of node in sh's map and returns
+// its slot buffer for the caller to fill, reusing a buffer from sh's free
+// list when there is one. It returns nil once beforeLimit nodes hold
+// images. The caller is sh's executing worker, or holds the quiesce write
+// lock with the workers idle.
+func (e *Engine) beforeSlot(sh *shard, node uint32) []byte {
+	if e.beforeNodes.Load() >= e.beforeLimit {
+		return nil
+	}
+	var buf []byte
+	if k := len(sh.free); k > 0 {
+		buf, sh.free = sh.free[k-1], sh.free[:k-1]
+	} else {
+		buf = make([]byte, e.slotSize)
+	}
 	if sh.before == nil {
 		sh.before = make(map[uint32][]byte)
 	}
 	sh.before[node] = buf
 	e.beforeNodes.Add(1)
+	return buf
+}
+
+// resetDirtyLocked starts a fresh incremental-query baseline: it clears
+// every dirty vector and the dirty-all bit, and retires the before-images,
+// returning their slot buffers to their shards' free lists (each list
+// capped at beforeLimit slots). The caller holds the quiesce write lock
+// with the workers idle.
+func (e *Engine) resetDirtyLocked() {
+	for _, sh := range e.shards {
+		sh.dirty.ClearAll()
+		for _, img := range sh.before {
+			if uint64(len(sh.free)) < e.beforeLimit {
+				sh.free = append(sh.free, img)
+			}
+		}
+		clear(sh.before)
+	}
+	e.dirtyAll.Store(false)
+	e.beforeNodes.Store(0)
 }
 
 func (e *Engine) setErr(err error) {
@@ -1006,6 +1060,8 @@ func (e *Engine) Stats() Stats {
 		QueryCacheHits:       e.cacheHits.Load(),
 		DeltaQueries:         e.deltaQueries.Load(),
 		DeltaFallbacks:       e.deltaFallbacks.Load(),
+		ColumnZeroRoots:      e.colZeroRoots.Load(),
+		SuspectDeltaQueries:  e.suspectQueries.Load(),
 		SketchFailures:       e.sketchFailures.Load(),
 		CheckpointStallNanos: uint64(e.lastCkptStall.Load()),
 		DeltaCheckpoints:     e.deltaCkpts.Load(),

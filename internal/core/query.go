@@ -17,10 +17,17 @@ import (
 //
 //  1. Lazy per-round materialization. Boruvka round r needs only the
 //     round-r supernode sketch of each still-live component, so the query
-//     materializes exactly those — one single-round arena per round,
-//     rebuilt from the DSU — instead of cloning all n × Rounds sketches
-//     upfront. Components certified complete (an empty cut sketch) drop
-//     out of every later round.
+//     materializes exactly those, rebuilt from the DSU each round, instead
+//     of cloning all n × Rounds sketches upfront. Components certified
+//     complete (an empty cut sketch) drop out of every later round. In RAM
+//     the materialization is column-lazy and arena-free: a root merges
+//     only column 0 of its members' slab views into a reused per-goroutine
+//     scratch sketch and samples it, paying for the other columns only on
+//     a column-0 miss (Query scans column 0 first, so the answer is the
+//     same). The merges are balanced by members, not roots: a root whose
+//     members straddle two goroutines' ranges is built from XOR-combined
+//     partials, so the giant root of a final certification round is
+//     merged by every goroutine at once.
 //
 //  2. Sequential disk scan. In out-of-core mode each round performs one
 //     coalesced ReadRange pass over the slots of still-live nodes,
@@ -173,14 +180,9 @@ func (e *Engine) runQueryLocked(epoch uint64) (*queryResult, error) {
 // idle.
 func (e *Engine) cacheResultLocked(res *queryResult) {
 	e.queryCache.Store(res)
-	for _, sh := range e.shards {
-		sh.dirty.ClearAll()
-		// The before-images' baseline is superseded by res: the next first
-		// dirtying of a node captures a fresh image relative to it.
-		sh.before = nil
-	}
-	e.dirtyAll.Store(false)
-	e.beforeNodes.Store(0)
+	// The before-images' baseline is superseded by res: the next first
+	// dirtying of a node captures a fresh image relative to it.
+	e.resetDirtyLocked()
 }
 
 // SpanningForest flushes all buffered updates and recovers a spanning
@@ -291,13 +293,20 @@ const (
 // freely (and concurrently) for the duration.
 type querySession struct {
 	d        *dsu.DSU
-	rep      []uint32 // node -> current root, rebuilt each round
-	finished []bool   // root-indexed: component certified complete
-	slot     []int32  // root -> index into roots this round, -1 otherwise
-	roots    []uint32 // live roots this round, in deterministic order
-	starts   []int    // prefix offsets into order, len(roots)+1
-	order    []uint32 // contributing live nodes grouped by root, ascending
-	scanBuf  []byte   // disk mode: sequential-scan chunk buffer
+	rep      []uint32    // node -> current root, rebuilt each round
+	finished []bool      // root-indexed: component certified complete
+	slot     []int32     // root -> index into roots this round, -1 otherwise
+	roots    []uint32    // live roots this round, in deterministic order
+	starts   []int       // prefix offsets into order, len(roots)+1
+	order    []uint32    // contributing live nodes grouped by root, ascending
+	fill     []int       // prepareRound's counting-sort cursors
+	scanBuf  []byte      // disk mode: sequential-scan chunk buffer
+	outs     []sampleOut // per live root: this round's sampling outcome
+
+	// affected and suspect are runDeltaBoruvka's per-prev-representative
+	// flags; tags backs material.
+	affected, suspect []bool
+	tags              []uint8
 
 	// material and before drive the delta query's diff materialization
 	// (runDeltaBoruvka): per-node contribution tags and the before-images
@@ -333,7 +342,11 @@ func (q *querySession) prepareRound() int {
 	// Under a material tagging, matNone nodes contribute nothing to any
 	// aggregate and are left out of the grouping entirely (their roots are
 	// still discovered above, off the full node scan).
-	q.starts = append(q.starts[:0], make([]int, len(q.roots)+1)...)
+	if cap(q.starts) < len(q.roots)+1 {
+		q.starts = make([]int, len(q.roots)+1)
+	}
+	q.starts = q.starts[:len(q.roots)+1]
+	clear(q.starts)
 	live := 0
 	for i := 0; i < n; i++ {
 		if q.material != nil && q.material[i] == matNone {
@@ -351,7 +364,8 @@ func (q *querySession) prepareRound() int {
 		q.order = make([]uint32, live)
 	}
 	q.order = q.order[:live]
-	fill := append([]int(nil), q.starts[:len(q.roots)]...)
+	q.fill = append(q.fill[:0], q.starts[:len(q.roots)]...)
+	fill := q.fill
 	for i := 0; i < n; i++ {
 		if q.material != nil && q.material[i] == matNone {
 			continue
@@ -364,14 +378,45 @@ func (q *querySession) prepareRound() int {
 	return len(q.roots)
 }
 
-// newQuerySession allocates the per-query scratch for an n-node session.
-func newQuerySession(n int) *querySession {
-	return &querySession{
-		d:        dsu.New(n),
-		rep:      make([]uint32, n),
-		finished: make([]bool, n),
-		slot:     make([]int32, n),
+// allDiff reports whether every one of members contributes a matDiff
+// diff: the members of a cached component being re-certified.
+func (q *querySession) allDiff(members []uint32) bool {
+	if q.material == nil || len(members) == 0 {
+		return false
 	}
+	for _, node := range members {
+		if q.material[node] != matDiff {
+			return false
+		}
+	}
+	return true
+}
+
+// session returns the engine's query scratch reset to pristine singletons,
+// allocating it on first use. One session serves every query: the caller
+// holds the quiesce write lock, which serializes them. Reuse keeps a
+// query's O(n) scratch on warm pages; fresh per-query slices would land
+// on untouched memory and pay its page faults.
+func (e *Engine) session() *querySession {
+	q := e.qs
+	if q == nil {
+		n := int(e.cfg.NumNodes)
+		q = &querySession{
+			d:        dsu.New(n),
+			rep:      make([]uint32, n),
+			finished: make([]bool, n),
+			slot:     make([]int32, n),
+			affected: make([]bool, n),
+			suspect:  make([]bool, n),
+			tags:     make([]uint8, n),
+		}
+		e.qs = q
+		return q
+	}
+	q.d.Reset()
+	clear(q.finished)
+	q.material, q.before = nil, nil
+	return q
 }
 
 // buildRep refreshes the representative vector off the DSU one final time
@@ -401,7 +446,11 @@ func (e *Engine) boruvkaRounds(q *querySession, forest *[]stream.Edge) (live, ro
 			break
 		}
 		rounds++
-		cands, emptied, err := e.sampleRound(q, round)
+		sample := e.sampleRound
+		if e.testSampleRound != nil {
+			sample = e.testSampleRound
+		}
+		cands, emptied, err := sample(q, round)
 		if err != nil {
 			return live, rounds, err
 		}
@@ -435,9 +484,8 @@ func (e *Engine) boruvkaRounds(q *querySession, forest *[]stream.Edge) (live, ro
 // the full query result tagged with epoch. On ErrQueryFailed the partial
 // result is still returned.
 func (e *Engine) runBoruvka(epoch uint64) (*queryResult, error) {
-	n := int(e.cfg.NumNodes)
-	q := newQuerySession(n)
-	var forest []stream.Edge
+	q := e.session()
+	forest := make([]stream.Edge, 0, e.cfg.NumNodes-1)
 	live, rounds, err := e.boruvkaRounds(q, &forest)
 	if err != nil {
 		return nil, err
@@ -489,7 +537,9 @@ func (e *Engine) runBoruvka(epoch uint64) (*queryResult, error) {
 // result contract identical to a full query.
 func (e *Engine) runDeltaBoruvka(epoch uint64, prev *queryResult, dirty *bitset.Set) (res *queryResult, ok bool, err error) {
 	n := int(e.cfg.NumNodes)
-	affected := make([]bool, n) // indexed by prev representative
+	q := e.session()
+	affected := q.affected // indexed by prev representative
+	clear(affected)
 	dirty.ForEach(func(i uint64) bool {
 		affected[prev.rep[i]] = true
 		return true
@@ -499,11 +549,17 @@ func (e *Engine) runDeltaBoruvka(epoch uint64, prev *queryResult, dirty *bitset.
 	var suspect []bool // indexed by prev representative; nil in disk mode
 	var before map[uint32][]byte
 	if ramMode {
-		suspect = make([]bool, n)
+		suspect = q.suspect
+		clear(suspect)
+		demoted := false
 		for _, eg := range prev.forest {
 			if dirty.Test(uint64(eg.U)) && dirty.Test(uint64(eg.V)) {
 				suspect[prev.rep[eg.U]] = true
+				demoted = true
 			}
+		}
+		if demoted {
+			e.suspectQueries.Add(1)
 		}
 		// The images live in per-executing-shard maps (a node's first
 		// dirtying can happen on any worker under a migrated assignment);
@@ -525,8 +581,7 @@ func (e *Engine) runDeltaBoruvka(epoch uint64, prev *queryResult, dirty *bitset.
 		})
 	}
 
-	q := newQuerySession(n)
-	var forest []stream.Edge
+	forest := make([]stream.Edge, 0, n-1)
 	for _, eg := range prev.forest {
 		r := prev.rep[eg.U]
 		if !affected[r] || (ramMode && !suspect[r]) {
@@ -545,7 +600,8 @@ func (e *Engine) runDeltaBoruvka(epoch uint64, prev *queryResult, dirty *bitset.
 	}
 	if ramMode {
 		q.before = before
-		q.material = make([]uint8, n) // matNone unless tagged below
+		q.material = q.tags // matNone unless tagged below
+		clear(q.material)
 		for i := 0; i < n; i++ {
 			if r := prev.rep[i]; affected[r] && suspect[r] {
 				q.material[i] = matSlab
@@ -573,110 +629,311 @@ func (e *Engine) runDeltaBoruvka(epoch uint64, prev *queryResult, dirty *bitset.
 	}, true, nil
 }
 
+// Outcome kinds of sampling one live root's round-r supernode sketch.
+const (
+	sampleFailed  = uint8(iota) // no good bucket or a non-edge index
+	sampleEdge                  // a candidate cut edge
+	sampleEmpty                 // empty cut: the component is complete
+	samplePending               // column 0 missed; the other columns are still to merge
+)
+
+// sampleOut is one live root's sampling outcome for the round.
+type sampleOut struct {
+	kind uint8
+	edge stream.Edge
+}
+
+// settle records a supernode sketch query's result in o. A checksum
+// collision that produced a non-edge index counts as a sampling failure.
+func (e *Engine) settle(o *sampleOut, idx uint64, qerr error) {
+	switch {
+	case qerr == nil:
+		edge, ierr := stream.IndexEdge(uint64(e.cfg.NumNodes), idx)
+		if ierr != nil {
+			e.sketchFailures.Add(1)
+			o.kind = sampleFailed
+			return
+		}
+		o.kind, o.edge = sampleEdge, edge
+	case errors.Is(qerr, cubesketch.ErrEmpty):
+		// No edge crosses this component's cut; it is complete and drops
+		// out of every later round.
+		o.kind = sampleEmpty
+	default:
+		e.sketchFailures.Add(1)
+		o.kind = sampleFailed
+	}
+}
+
+// fanOut runs fn(0..workers-1) on one goroutine each (a single worker
+// runs inline) and returns the errors they reported, joined.
+func fanOut(workers int, fn func(w int) error) error {
+	if workers == 1 {
+		return fn(0)
+	}
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			errs[w] = fn(w)
+		}(w)
+	}
+	wg.Wait()
+	return errors.Join(errs...)
+}
+
 // sampleRound materializes the round-r supernode sketch of every live root
 // and samples one candidate cut edge from each (Boruvka phase 1). The
 // returned candidate list is in live-root order and emptied lists the
-// roots whose cut sketch was empty (complete components). RAM mode fans
-// both materialization and sampling across one goroutine per shard; disk
-// mode performs the sequential scan first (one device, one pass), then
-// fans only the sampling.
+// roots whose cut sketch was empty (complete components).
 func (e *Engine) sampleRound(q *querySession, round int) (cands []candidate, emptied []uint32, err error) {
 	nr := len(q.roots)
-	// One single-round arena holds every live root's supernode sketch:
-	// two allocations, mergeable with the shard slabs by construction
-	// (same vector length, columns, and round seed).
-	arena := cubesketch.NewSlab(nr, e.vecLen, e.cfg.Columns, []uint64{e.roundSeed(round)})
-	ramMode := e.store == nil
-	if !ramMode {
-		if err := e.scanRoundFromDisk(q, arena, round); err != nil {
-			return nil, nil, err
-		}
+	if cap(q.outs) < nr {
+		q.outs = make([]sampleOut, nr)
 	}
-
-	workers := len(e.shards)
-	if workers > nr {
-		workers = nr
+	q.outs = q.outs[:nr]
+	clear(q.outs)
+	if e.store == nil {
+		err = e.materializeRound(q, round)
+	} else {
+		err = e.sampleRoundFromDisk(q, round)
 	}
-	type workerOut struct {
-		cands   []candidate
-		emptied []uint32
-		err     error
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: merging supernodes: %w", err)
 	}
-	outs := make([]workerOut, workers)
-	chunk := (nr + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > nr {
-			hi = nr
+	for i, o := range q.outs {
+		switch o.kind {
+		case sampleEdge:
+			cands = append(cands, candidate{root: q.roots[i], edge: o.edge})
+		case sampleEmpty:
+			emptied = append(emptied, q.roots[i])
 		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(out *workerOut, lo, hi int) {
-			defer wg.Done()
-			var acc, view cubesketch.Sketch
-			roundOff := round * e.sketchSize
-			for i := lo; i < hi; i++ {
-				arena.View(i, 0, &acc)
-				if ramMode {
-					// Materialize: XOR every contributing member's round-r
-					// sketch view straight out of the owning shard's slab
-					// (read-only; the workers are quiescent under the write
-					// lock). A matDiff member additionally XORs its
-					// before-image's round-r bytes, turning its contribution
-					// into the diff since the cached result — against which
-					// its component's cached aggregate is the zero sketch.
-					for _, node := range q.order[q.starts[i]:q.starts[i+1]] {
-						sh, local := e.shardOf(node)
-						sh.slab.View(local, round, &view)
-						if err := acc.Merge(&view); err != nil {
-							out.err = err
-							return
-						}
-						if q.material != nil && q.material[node] == matDiff {
-							img := q.before[node]
-							if err := acc.MergeBinary(img[roundOff : roundOff+e.sketchSize]); err != nil {
-								out.err = err
-								return
-							}
-						}
-					}
-				}
-				root := q.roots[i]
-				idx, qerr := acc.Query()
-				switch {
-				case qerr == nil:
-					edge, ierr := stream.IndexEdge(uint64(e.cfg.NumNodes), idx)
-					if ierr != nil {
-						// A checksum collision produced a non-edge index;
-						// treated as a sampling failure for this component.
-						e.sketchFailures.Add(1)
-						continue
-					}
-					out.cands = append(out.cands, candidate{root: root, edge: edge})
-				case errors.Is(qerr, cubesketch.ErrEmpty):
-					// No edge crosses this component's cut; it is complete
-					// and drops out of every later round.
-					out.emptied = append(out.emptied, root)
-				case errors.Is(qerr, cubesketch.ErrFailed):
-					e.sketchFailures.Add(1)
-				}
-			}
-		}(&outs[w], lo, hi)
-	}
-	wg.Wait()
-	// Workers own contiguous root ranges, so concatenating in worker
-	// order preserves the global deterministic live-root order.
-	for i := range outs {
-		if outs[i].err != nil {
-			return nil, nil, fmt.Errorf("core: merging supernodes: %w", outs[i].err)
-		}
-		cands = append(cands, outs[i].cands...)
-		emptied = append(emptied, outs[i].emptied...)
 	}
 	return cands, emptied, nil
+}
+
+// sampleRoundFromDisk performs the round's sequential scan into a
+// single-round arena (one device, one pass), then fans the sampling of
+// contiguous root ranges across one goroutine per shard.
+func (e *Engine) sampleRoundFromDisk(q *querySession, round int) error {
+	nr := len(q.roots)
+	arena := cubesketch.NewSlab(nr, e.vecLen, e.cfg.Columns, []uint64{e.roundSeed(round)})
+	if err := e.scanRoundFromDisk(q, arena, round); err != nil {
+		return err
+	}
+	workers := min(len(e.shards), nr)
+	chunk := (nr + workers - 1) / workers
+	return fanOut(workers, func(w int) error {
+		var acc cubesketch.Sketch
+		for i := w * chunk; i < min((w+1)*chunk, nr); i++ {
+			arena.View(i, 0, &acc)
+			idx, qerr := acc.Query()
+			e.settle(&q.outs[i], idx, qerr)
+		}
+		return nil
+	})
+}
+
+// segment is one worker's share of a live root's members for the round:
+// q.order[lo:hi] of q.roots[root]. A root whose members straddle a worker
+// boundary is shared: each of its segments accumulates a partial
+// aggregate, and the partials are XOR-combined before sampling.
+type segment struct {
+	root   int
+	lo, hi int
+	shared bool
+	// cols is the root's first-pass column count: 1 (column 0 first), or
+	// all columns for a root of matDiff members only.
+	cols int
+	part *cubesketch.Sketch // shared segments: this worker's partial
+}
+
+// materializeRound builds and samples every live root's round-r supernode
+// sketch straight from the shard slabs (RAM mode), with no per-round
+// arena. Work is balanced by members, not roots: the grouped member list
+// is cut into one contiguous range per shard goroutine, so the single
+// giant root of a final certification round is merged by every goroutine
+// at once.
+//
+// Sampling is column-lazy. Query scans column 0 first, rows ascending, so
+// when column 0 of a supernode holds a good bucket that bucket is Query's
+// answer: a root merges only column 0 of its members' round sketches
+// first, and merges the remaining columns and runs the full Query only on
+// a column-0 miss. The exception is a root whose members are all matDiff —
+// a cached component being re-certified, whose aggregate is expected to be
+// the zero sketch — which merges every column in one pass.
+func (e *Engine) materializeRound(q *querySession, round int) error {
+	cols := e.cfg.Columns
+	seed := e.roundSeed(round)
+	members := len(q.order)
+	workers := max(min(len(e.shards), members), 1)
+	chunk := max((members+workers-1)/workers, 1)
+	segs := make([][]segment, workers)
+	w, wEnd := 0, chunk
+	for i := range q.roots {
+		lo, hi := q.starts[i], q.starts[i+1]
+		first := 1
+		if q.allDiff(q.order[lo:hi]) {
+			first = cols
+		}
+		shared := false
+		for hi > wEnd && w < workers-1 {
+			if lo < wEnd {
+				segs[w] = append(segs[w], segment{root: i, lo: lo, hi: wEnd, shared: true, cols: first})
+				lo, shared = wEnd, true
+			}
+			w, wEnd = w+1, wEnd+chunk
+		}
+		segs[w] = append(segs[w], segment{root: i, lo: lo, hi: hi, shared: shared, cols: first})
+	}
+
+	// Pass 1: owned roots are merged and sampled by their worker; shared
+	// roots accumulate their first-pass partials.
+	hits := make([]uint64, workers) // roots answered from column 0 alone
+	err := fanOut(workers, func(w int) error {
+		acc := cubesketch.New(e.vecLen, cols, seed)
+		used := 0 // leading columns of acc that may be nonzero
+		for k := range segs[w] {
+			s := &segs[w][k]
+			part := q.order[s.lo:s.hi]
+			if s.shared {
+				s.part = cubesketch.New(e.vecLen, cols, seed)
+				if err := e.mergeMembers(q, s.part, part, round, 0, s.cols); err != nil {
+					return err
+				}
+				continue
+			}
+			acc.ResetColumns(0, used)
+			if err := e.mergeMembers(q, acc, part, round, 0, s.cols); err != nil {
+				return err
+			}
+			used = s.cols
+			if s.cols < cols {
+				if idx, qerr := acc.QueryColumn(0); qerr == nil {
+					e.settle(&q.outs[s.root], idx, nil)
+					hits[w]++
+					continue
+				}
+				if err := e.mergeMembers(q, acc, part, round, s.cols, cols); err != nil {
+					return err
+				}
+				used = cols
+			}
+			idx, qerr := acc.Query()
+			e.settle(&q.outs[s.root], idx, qerr)
+		}
+		return nil
+	})
+	defer func() {
+		var n uint64
+		for _, h := range hits {
+			n += h
+		}
+		e.colZeroRoots.Add(n)
+	}()
+	if err != nil {
+		return err
+	}
+
+	// Combine the shared roots' partials and sample them. A column-0 miss
+	// leaves the root pending for a second, equally balanced pass over its
+	// remaining columns.
+	pending := false
+	err = e.combineShared(q, segs, false, func(head *segment) {
+		out := &q.outs[head.root]
+		if head.cols == cols {
+			idx, qerr := head.part.Query()
+			e.settle(out, idx, qerr)
+			return
+		}
+		if idx, qerr := head.part.QueryColumn(0); qerr == nil {
+			e.settle(out, idx, nil)
+			hits[0]++ // the workers are done; any slot will do
+			return
+		}
+		out.kind, pending = samplePending, true
+	})
+	if err != nil || !pending {
+		return err
+	}
+	err = fanOut(workers, func(w int) error {
+		for _, s := range segs[w] {
+			if s.shared && q.outs[s.root].kind == samplePending {
+				if err := e.mergeMembers(q, s.part, q.order[s.lo:s.hi], round, s.cols, cols); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	return e.combineShared(q, segs, true, func(head *segment) {
+		idx, qerr := head.part.Query()
+		e.settle(&q.outs[head.root], idx, qerr)
+	})
+}
+
+// combineShared XOR-combines each shared root's segment partials into its
+// first segment's and calls sample on that head, roots in ascending order.
+// The first pass combines the columns [0, cols) each segment merged; the
+// second (rest) combines the remaining columns of the roots still pending.
+func (e *Engine) combineShared(q *querySession, segs [][]segment, rest bool, sample func(head *segment)) error {
+	var head *segment
+	for w := range segs {
+		for k := range segs[w] {
+			s := &segs[w][k]
+			if !s.shared || (rest && q.outs[s.root].kind != samplePending) {
+				continue
+			}
+			if head == nil || head.root != s.root {
+				if head != nil {
+					sample(head)
+				}
+				head = s
+				continue
+			}
+			lo, hi := 0, s.cols
+			if rest {
+				lo, hi = s.cols, e.cfg.Columns
+			}
+			if err := head.part.MergeColumns(s.part, lo, hi); err != nil {
+				return err
+			}
+		}
+	}
+	if head != nil {
+		sample(head)
+	}
+	return nil
+}
+
+// mergeMembers XORs columns [lo, hi) of every member's round-r
+// contribution into acc: its live sketch viewed straight out of the owning
+// shard's slab (read-only; the workers are quiescent under the write
+// lock), and for a matDiff member also its before-image's round-r bytes,
+// turning the contribution into the diff since the cached result —
+// against which its component's cached aggregate is the zero sketch.
+func (e *Engine) mergeMembers(q *querySession, acc *cubesketch.Sketch, members []uint32, round, lo, hi int) error {
+	var view cubesketch.Sketch
+	roundOff := round * e.sketchSize
+	for _, node := range members {
+		sh, local := e.shardOf(node)
+		sh.slab.View(local, round, &view)
+		if err := acc.MergeColumns(&view, lo, hi); err != nil {
+			return err
+		}
+		if q.material != nil && q.material[node] == matDiff {
+			img := q.before[node]
+			if err := acc.MergeBinaryColumns(img[roundOff:roundOff+e.sketchSize], lo, hi); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // scanRoundFromDisk materializes the round-r supernode sketches out of the

@@ -232,26 +232,18 @@ func applyColumn(alphas []uint64, gammas []uint32, alphaAcc *[maxRows]uint64, ga
 // Query returns the position of some nonzero entry of the sketched vector.
 // It returns ErrEmpty if the vector is (apparently) zero and ErrFailed if
 // no bucket isolates a single entry. A returned index passed the 32-bit
-// checksum, so a wrong answer occurs only on a hash collision.
+// checksum, so a wrong answer occurs only on a hash collision. Columns are
+// scanned in order, rows ascending, and the first good bucket wins — so a
+// QueryColumn(0) hit is exactly Query's answer.
 func (s *Sketch) Query() (uint64, error) {
 	empty := true
 	for col := 0; col < s.cols; col++ {
-		cs := s.colSeeds[col]
-		base := col * s.rows
-		for row := 0; row < s.rows; row++ {
-			alpha := s.alphas[base+row]
-			gamma := s.gammas[base+row]
-			if alpha == 0 && gamma == 0 {
-				continue
-			}
+		idx, err := s.QueryColumn(col)
+		if err == nil {
+			return idx, nil
+		}
+		if err == ErrFailed {
 			empty = false
-			if alpha == 0 || alpha > s.n {
-				continue // XOR of several indices; cannot be a real entry
-			}
-			idx := alpha - 1
-			if uint32(hashing.Mix64(cs, idx)>>32) == gamma {
-				return idx, nil
-			}
 		}
 	}
 	if empty {
@@ -260,19 +252,73 @@ func (s *Sketch) Query() (uint64, error) {
 	return 0, ErrFailed
 }
 
+// QueryColumn samples column col alone: the index of its first good bucket
+// (rows ascending), ErrEmpty if every bucket of the column is empty, or
+// ErrFailed if the column is nonempty but no bucket isolates one entry. It
+// reads only the column's buckets, so a caller that merged just that
+// column can sample it before merging the rest.
+func (s *Sketch) QueryColumn(col int) (uint64, error) {
+	if col < 0 || col >= s.cols {
+		return 0, fmt.Errorf("cubesketch: column %d out of range for %d columns", col, s.cols)
+	}
+	cs := s.colSeeds[col]
+	base := col * s.rows
+	alphas := s.alphas[base : base+s.rows]
+	gammas := s.gammas[base : base+s.rows]
+	empty := true
+	for row, alpha := range alphas {
+		gamma := gammas[row]
+		if alpha == 0 && gamma == 0 {
+			continue
+		}
+		empty = false
+		if alpha == 0 || alpha > s.n {
+			continue // XOR of several indices; cannot be a real entry
+		}
+		idx := alpha - 1
+		if uint32(hashing.Mix64(cs, idx)>>32) == gamma {
+			return idx, nil
+		}
+	}
+	if empty {
+		return 0, ErrEmpty
+	}
+	return 0, ErrFailed
+}
+
+// checkColumns validates a column range [lo, hi) against s.
+func (s *Sketch) checkColumns(lo, hi int) error {
+	if lo < 0 || hi > s.cols || lo > hi {
+		return fmt.Errorf("cubesketch: column range [%d,%d) out of range for %d columns", lo, hi, s.cols)
+	}
+	return nil
+}
+
 // Merge XOR-combines other into s, so that s becomes a sketch of the mod-2
 // sum of the two underlying vectors. The sketches must share parameters
 // and seed.
-func (s *Sketch) Merge(other *Sketch) error {
+func (s *Sketch) Merge(other *Sketch) error { return s.MergeColumns(other, 0, s.cols) }
+
+// MergeColumns XOR-combines columns [lo, hi) of other into s, leaving s's
+// other columns untouched. Merging [0, k) and then [k, Columns()) equals
+// one Merge; the query path uses the split to sample column 0 of a
+// supernode before paying for the rest.
+func (s *Sketch) MergeColumns(other *Sketch, lo, hi int) error {
 	if s.n != other.n || s.cols != other.cols || s.rows != other.rows || s.seed != other.seed {
 		return fmt.Errorf("cubesketch: incompatible sketches (n=%d/%d cols=%d/%d seed=%#x/%#x)",
 			s.n, other.n, s.cols, other.cols, s.seed, other.seed)
 	}
-	for i, a := range other.alphas {
-		s.alphas[i] ^= a
+	if err := s.checkColumns(lo, hi); err != nil {
+		return err
 	}
-	for i, g := range other.gammas {
-		s.gammas[i] ^= g
+	a, g := s.alphas[lo*s.rows:hi*s.rows], s.gammas[lo*s.rows:hi*s.rows]
+	oa, og := other.alphas[lo*s.rows:hi*s.rows], other.gammas[lo*s.rows:hi*s.rows]
+	oa, og = oa[:len(a)], og[:len(g)]
+	for i := range a {
+		a[i] ^= oa[i]
+	}
+	for i := range g {
+		g[i] ^= og[i]
 	}
 	return nil
 }
@@ -282,26 +328,34 @@ func (s *Sketch) Merge(other *Sketch) error {
 // The serialized header must match s's parameters and seed exactly. It is
 // the zero-garbage merge path the engine's out-of-core query scan uses to
 // sum supernode sketches straight out of the sequential-scan buffer.
-func (s *Sketch) MergeBinary(buf []byte) error {
+func (s *Sketch) MergeBinary(buf []byte) error { return s.MergeBinaryColumns(buf, 0, s.cols) }
+
+// MergeBinaryColumns is MergeColumns for a serialized sketch: it XORs
+// columns [lo, hi) of buf into s. buf must hold the full serialization and
+// its header must match s's parameters and seed.
+func (s *Sketch) MergeBinaryColumns(buf []byte, lo, hi int) error {
 	if len(buf) < s.SerializedSize() {
 		return fmt.Errorf("cubesketch: serialized sketch is %d bytes, need %d", len(buf), s.SerializedSize())
 	}
 	n := binary.LittleEndian.Uint64(buf[0:])
 	seed := binary.LittleEndian.Uint64(buf[8:])
-	cols := int(binary.LittleEndian.Uint64(buf[16:]))
-	rows := int(binary.LittleEndian.Uint64(buf[24:]))
-	if n != s.n || seed != s.seed || cols != s.cols || rows != s.rows {
+	cols := binary.LittleEndian.Uint64(buf[16:])
+	rows := binary.LittleEndian.Uint64(buf[24:])
+	if n != s.n || seed != s.seed || cols != uint64(s.cols) || rows != uint64(s.rows) {
 		return fmt.Errorf("cubesketch: incompatible serialized sketch (n=%d/%d cols=%d/%d rows=%d/%d seed=%#x/%#x)",
 			n, s.n, cols, s.cols, rows, s.rows, seed, s.seed)
 	}
-	off := 32
-	for i := range s.alphas {
-		s.alphas[i] ^= binary.LittleEndian.Uint64(buf[off:])
-		off += 8
+	if err := s.checkColumns(lo, hi); err != nil {
+		return err
 	}
-	for i := range s.gammas {
-		s.gammas[i] ^= binary.LittleEndian.Uint32(buf[off:])
-		off += 4
+	a, g := s.alphas[lo*s.rows:hi*s.rows], s.gammas[lo*s.rows:hi*s.rows]
+	ab := buf[32+lo*s.rows*8:]
+	gb := buf[32+len(s.alphas)*8+lo*s.rows*4:]
+	for i := range a {
+		a[i] ^= binary.LittleEndian.Uint64(ab[8*i:])
+	}
+	for i := range g {
+		g[i] ^= binary.LittleEndian.Uint32(gb[4*i:])
 	}
 	return nil
 }
@@ -349,9 +403,19 @@ func MergeSerialized(dst, src []byte) error {
 // Reset zeroes the sketch in place, making it a sketch of the zero vector
 // again. The parameters and seed are retained.
 func (s *Sketch) Reset() {
-	clear(s.alphas)
-	clear(s.gammas)
+	s.ResetColumns(0, s.cols)
 	s.updates = 0
+}
+
+// ResetColumns zeroes columns [lo, hi) in place; an out-of-range column
+// range panics. A reused accumulator that merged only its leading columns
+// clears just those.
+func (s *Sketch) ResetColumns(lo, hi int) {
+	if err := s.checkColumns(lo, hi); err != nil {
+		panic(err)
+	}
+	clear(s.alphas[lo*s.rows : hi*s.rows])
+	clear(s.gammas[lo*s.rows : hi*s.rows])
 }
 
 // Clone returns a deep copy of the sketch.
