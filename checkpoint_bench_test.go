@@ -104,7 +104,7 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 // file.
 func BenchmarkRestore(b *testing.B) {
 	g := benchCheckpointGraph(b)
-	path := filepath.Join(b.TempDir(), "bench.gze3")
+	path := filepath.Join(b.TempDir(), "bench.gze")
 	if err := g.SaveCheckpoint(path); err != nil {
 		b.Fatal(err)
 	}

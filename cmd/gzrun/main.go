@@ -23,16 +23,16 @@
 // hit/miss/eviction counters.
 //
 // Durability and distributed merge: -checkpoint writes the structure's
-// sketch state after the run (the low-stall GZE3/GZX1 snapshot);
+// sketch state after the run (the low-stall GZE4/GZX1 snapshot);
 // -restore starts a graph from a previous checkpoint file instead of
 // empty (parallel section decode); -merge XORs shard checkpoints written
 // elsewhere into the structure before the final query, so K machines can
 // each ingest a disjoint slice of a stream and one gzrun answers for the
 // union:
 //
-//	gzrun -stream shardA.gzs -checkpoint a.gze3
-//	gzrun -stream shardB.gzs -merge a.gze3
-//	gzrun -stream more.gzs -restore a.gze3 -checkpoint a2.gze3
+//	gzrun -stream shardA.gzs -checkpoint a.gze
+//	gzrun -stream shardB.gzs -merge a.gze
+//	gzrun -stream more.gzs -restore a.gze -checkpoint a2.gze
 package main
 
 import (

@@ -5,8 +5,8 @@
 // and stats endpoints. A coordinator partitions incoming edge batches
 // by node range across its workers, pipelines the sends with bounded
 // in-flight windows and retry/backoff, and answers global connectivity
-// queries by merging the workers' GZE3 checkpoints into an aggregator
-// engine.
+// queries by merging the workers' GZE4 checkpoints (and GZD1 deltas)
+// into an aggregator engine.
 //
 // A 2-worker localhost cluster:
 //
@@ -33,7 +33,7 @@
 // On SIGINT/SIGTERM both modes shut down gracefully: the coordinator
 // drains its send windows and ships one final checkpoint merge before
 // exiting; a worker drains its engine, writes its -state-dir checkpoint
-// if durable and, with -final-checkpoint, writes a GZE3 file of its
+// if durable and, with -final-checkpoint, writes a GZE4 file of its
 // final state. Both log their /statsz document on the way out.
 package main
 
@@ -73,7 +73,7 @@ func run() int {
 		shards    = flag.Int("shards", 0, "engine ingest shards in this process (default: engine default)")
 		workerIdx = flag.Int("worker-index", -1, "worker: this worker's partition index (with -worker-count, documents the node range in /v1/info)")
 		workerCnt = flag.Int("worker-count", 0, "worker: total workers in the cluster (for -worker-index)")
-		finalCkpt = flag.String("final-checkpoint", "", "worker: write a GZE3 checkpoint here on graceful shutdown")
+		finalCkpt = flag.String("final-checkpoint", "", "worker: write a GZE4 checkpoint here on graceful shutdown")
 		stateDir  = flag.String("state-dir", "", "worker: durable state directory (checkpoint + write-ahead log); every acked batch survives a crash and the worker auto-recovers from it on startup")
 		fsync     = flag.String("fsync", "batch", "worker: WAL fsync policy with -state-dir: batch, interval, off")
 		fsyncIntv = flag.Duration("fsync-interval", 0, "worker: WAL sync period for -fsync interval (0 = 50ms default)")

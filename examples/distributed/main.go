@@ -5,7 +5,7 @@
 // range, behind HTTP servers; a coordinator that routes framed edge
 // batches to them with pipelined, idempotent sends; and a driver
 // speaking the GZW1 wire protocol to the coordinator. At query time the
-// coordinator pulls every worker's GZE3 checkpoint, XOR-merges them
+// coordinator pulls every worker's GZE4 checkpoint, XOR-merges them
 // into an aggregator, and one Boruvka pass answers for the whole
 // stream.
 //

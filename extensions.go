@@ -58,8 +58,8 @@ func (g *Graph) SaveCheckpoint(path string) error {
 // The checkpoint must have the same node count, seed, columns and rounds
 // (ErrIncompatibleCheckpoint otherwise, naming both parameter sets). The
 // merge streams serialized slots straight into the sketch arenas with zero
-// per-sketch allocations; legacy GZE2 checkpoints merge behind the magic
-// check.
+// per-sketch allocations. Only full GZE4 checkpoints merge; any other
+// format is rejected as corrupt.
 func (g *Graph) MergeCheckpoint(r io.Reader) error {
 	return g.engine.MergeCheckpoint(r)
 }
@@ -129,10 +129,9 @@ func RecoverChain(numNodes uint32, basePath string, deltaPaths []string, opts ..
 	return &Graph{engine: eng, numNodes: eng.Config().NumNodes}, rec, nil
 }
 
-// ReadCheckpoint restores a Graph from a checkpoint stream (GZE4, or legacy
-// GZE3/GZE2), reading front to back; opts control deployment choices (workers,
-// buffering, disk placement) while the sketch parameters come from the
-// checkpoint. For checkpoint files prefer OpenCheckpoint, which restores
+// ReadCheckpoint restores a Graph from a GZE4 checkpoint stream, reading
+// front to back; opts control deployment choices (workers, buffering, disk
+// placement) while the sketch parameters come from the checkpoint. For checkpoint files prefer OpenCheckpoint, which restores
 // sections in parallel.
 func ReadCheckpoint(r io.Reader, opts ...Option) (*Graph, error) {
 	var cfg core.Config
@@ -146,11 +145,10 @@ func ReadCheckpoint(r io.Reader, opts ...Option) (*Graph, error) {
 	return &Graph{engine: eng, numNodes: eng.Config().NumNodes}, nil
 }
 
-// OpenCheckpoint restores a Graph from a checkpoint file. GZE4 files are
-// decoded in parallel: the footer locates every section, and one goroutine
-// per shard worker verifies and installs whole sections (with coalesced
-// range writes in disk mode). Legacy GZE2 files fall back to the
-// sequential path.
+// OpenCheckpoint restores a Graph from a GZE4 checkpoint file, decoded in
+// parallel: the footer locates every section, and one goroutine per shard
+// worker verifies and installs whole sections (with coalesced range writes
+// in disk mode).
 func OpenCheckpoint(path string, opts ...Option) (*Graph, error) {
 	var cfg core.Config
 	for _, o := range opts {

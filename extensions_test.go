@@ -425,7 +425,7 @@ func TestOpenCheckpointPublic(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	path := filepath.Join(t.TempDir(), "g.gze3")
+	path := filepath.Join(t.TempDir(), "g.gze")
 	if err := g.SaveCheckpoint(path); err != nil {
 		t.Fatal(err)
 	}

@@ -165,13 +165,6 @@ func WithRebalancing(enabled bool) Option {
 	return func(c *core.Config) { c.NoRebalance = !enabled }
 }
 
-// WithRebalanceInterval sets the rebalancer's policy tick period (default
-// 2ms): each tick compares per-shard load over the previous window and
-// migrates at most a few slices.
-func WithRebalanceInterval(d time.Duration) Option {
-	return func(c *core.Config) { c.RebalanceInterval = d }
-}
-
 // WithBuffering selects the buffering structure (default LeafGutters).
 func WithBuffering(k Buffering) Option {
 	return func(c *core.Config) { c.Buffering = k }

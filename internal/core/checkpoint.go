@@ -60,9 +60,8 @@ import (
 // are per section, so corruption is detected before any state is merged
 // and is localized to a node range.
 //
-// Legacy GZE3 streams (32-byte header, no WAL position, no meta) and
-// GZE2 streams (flat numNodes × slotSize slots, no sections, no
-// checksums) remain readable and mergeable behind the magic check.
+// GZE4 and its sparse delta sibling GZD1 (delta.go) are the only formats
+// written or read; any other magic is rejected as ErrCorruptCheckpoint.
 //
 // Linearity makes checkpoints composable: because sketches are mergeable,
 // a checkpoint written on one machine can be merged into a live engine
@@ -70,10 +69,8 @@ import (
 // direction of the paper's conclusion; see MergeCheckpoint).
 
 var (
-	checkpointMagic   = [4]byte{'G', 'Z', 'E', '4'}
-	checkpointMagicV3 = [4]byte{'G', 'Z', 'E', '3'}
-	checkpointMagicV2 = [4]byte{'G', 'Z', 'E', '2'}
-	footerMagic       = [4]byte{'G', 'Z', 'F', '3'}
+	checkpointMagic = [4]byte{'G', 'Z', 'E', '4'}
+	footerMagic     = [4]byte{'G', 'Z', 'F', '3'}
 	// deltaMagic opens a sparse GZD1 delta checkpoint (delta.go): same
 	// 48-byte header layout as GZE4, but the sections carry sorted dirty
 	// node ids plus their serialized slots instead of dense node ranges.
@@ -81,14 +78,10 @@ var (
 )
 
 const (
-	checkpointHeaderLenV3 = 32
-	checkpointHeaderLen   = 48 // GZE4: V3's 32 + walLSN(8) + metaLen(4) + metaCRC(4)
-	// checkpointVersionDelta tags a decoded GZD1 header; delta streams are
-	// only consumable by ApplyDeltaCheckpoint, never by restore or merge.
-	checkpointVersionDelta = 5
-	sectionHeaderLen       = 20
-	footerEntryLen        = 16
-	footerTrailerLen      = 16
+	checkpointHeaderLen = 48
+	sectionHeaderLen    = 20
+	footerEntryLen      = 16
+	footerTrailerLen    = 16
 	// maxCheckpointMeta bounds the meta blob; a scanned metaLen above it
 	// is corruption, not metadata.
 	maxCheckpointMeta = 1 << 24
@@ -760,7 +753,7 @@ func (e *Engine) encodeSection(sec int, start uint32, count int, payload []byte,
 		}
 		return nil
 	}
-	chunkSlots := e.cfg.QueryScanBytes / e.slotSize
+	chunkSlots := queryScanBytes / e.slotSize
 	if chunkSlots < 1 {
 		chunkSlots = 1
 	}
@@ -777,15 +770,17 @@ func (e *Engine) encodeSection(sec int, start uint32, count int, payload []byte,
 	return nil
 }
 
-// checkpointHeader is the decoded fixed header of any format version.
+// checkpointHeader is the decoded fixed header of a GZE4 or GZD1 stream.
 type checkpointHeader struct {
-	version  int // 2, 3 or 4
+	// delta marks a GZD1 header; delta streams are only consumable by
+	// ApplyDeltaCheckpoint, never by restore or merge.
+	delta    bool
 	numNodes uint32
 	seed     uint64
 	columns  int
 	rounds   int
 	updates  uint64
-	sections int // GZE3+
+	sections int
 	walLSN   uint64
 	metaLen  int
 	metaCRC  uint32
@@ -806,71 +801,45 @@ func readCheckpointHeader(br *bufio.Reader) (checkpointHeader, error) {
 	if _, err := io.ReadFull(br, m[:]); err != nil {
 		return checkpointHeader{}, fmt.Errorf("core: reading checkpoint magic: %w", err)
 	}
-	switch m {
-	case checkpointMagicV2:
-		var hdr [28]byte
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			return checkpointHeader{}, fmt.Errorf("core: reading checkpoint header: %w", err)
-		}
-		return checkpointHeader{
-			version:  2,
-			numNodes: binary.LittleEndian.Uint32(hdr[0:]),
-			seed:     binary.LittleEndian.Uint64(hdr[4:]),
-			columns:  int(binary.LittleEndian.Uint32(hdr[12:])),
-			rounds:   int(binary.LittleEndian.Uint32(hdr[16:])),
-			updates:  binary.LittleEndian.Uint64(hdr[20:]),
-		}, nil
-	case checkpointMagicV3, checkpointMagic, deltaMagic:
-		n := checkpointHeaderLenV3
-		version := 3
-		if m != checkpointMagicV3 {
-			n = checkpointHeaderLen
-			version = 4
-			if m == deltaMagic {
-				version = checkpointVersionDelta
-			}
-		}
-		var hdr [checkpointHeaderLen]byte
-		if _, err := io.ReadFull(br, hdr[:n]); err != nil {
-			return checkpointHeader{}, fmt.Errorf("core: reading checkpoint header: %w", err)
-		}
-		h := checkpointHeader{
-			version:  version,
-			numNodes: binary.LittleEndian.Uint32(hdr[0:]),
-			seed:     binary.LittleEndian.Uint64(hdr[4:]),
-			columns:  int(binary.LittleEndian.Uint32(hdr[12:])),
-			rounds:   int(binary.LittleEndian.Uint32(hdr[16:])),
-			updates:  binary.LittleEndian.Uint64(hdr[20:]),
-			sections: int(binary.LittleEndian.Uint32(hdr[28:])),
-		}
-		if version >= 4 {
-			h.walLSN = binary.LittleEndian.Uint64(hdr[32:])
-			h.metaLen = int(binary.LittleEndian.Uint32(hdr[40:]))
-			h.metaCRC = binary.LittleEndian.Uint32(hdr[44:])
-			if h.metaLen > maxCheckpointMeta {
-				return checkpointHeader{}, fmt.Errorf("%w: %d-byte meta blob", ErrCorruptCheckpoint, h.metaLen)
-			}
-		}
-		// A delta may legitimately carry zero sections (nothing dirtied
-		// since the base); dense formats must cover the node universe.
-		minSections := 1
-		if version == checkpointVersionDelta {
-			minSections = 0
-		}
-		if h.sections < minSections || uint32(h.sections) > h.numNodes {
-			return checkpointHeader{}, fmt.Errorf("%w: %d sections for %d nodes", ErrCorruptCheckpoint, h.sections, h.numNodes)
-		}
-		return h, nil
-	default:
-		return checkpointHeader{}, fmt.Errorf("%w: not a GZE2/GZE3/GZE4/GZD1 checkpoint", ErrCorruptCheckpoint)
+	if m != checkpointMagic && m != deltaMagic {
+		return checkpointHeader{}, fmt.Errorf("%w: not a GZE4/GZD1 checkpoint", ErrCorruptCheckpoint)
 	}
+	var hdr [checkpointHeaderLen]byte
+	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+		return checkpointHeader{}, fmt.Errorf("core: reading checkpoint header: %w", err)
+	}
+	h := checkpointHeader{
+		delta:    m == deltaMagic,
+		numNodes: binary.LittleEndian.Uint32(hdr[0:]),
+		seed:     binary.LittleEndian.Uint64(hdr[4:]),
+		columns:  int(binary.LittleEndian.Uint32(hdr[12:])),
+		rounds:   int(binary.LittleEndian.Uint32(hdr[16:])),
+		updates:  binary.LittleEndian.Uint64(hdr[20:]),
+		sections: int(binary.LittleEndian.Uint32(hdr[28:])),
+		walLSN:   binary.LittleEndian.Uint64(hdr[32:]),
+		metaLen:  int(binary.LittleEndian.Uint32(hdr[40:])),
+		metaCRC:  binary.LittleEndian.Uint32(hdr[44:]),
+	}
+	if h.metaLen > maxCheckpointMeta {
+		return checkpointHeader{}, fmt.Errorf("%w: %d-byte meta blob", ErrCorruptCheckpoint, h.metaLen)
+	}
+	// A delta may legitimately carry zero sections (nothing dirtied since
+	// the base); a full checkpoint must cover the node universe.
+	minSections := 1
+	if h.delta {
+		minSections = 0
+	}
+	if h.sections < minSections || uint32(h.sections) > h.numNodes {
+		return checkpointHeader{}, fmt.Errorf("%w: %d sections for %d nodes", ErrCorruptCheckpoint, h.sections, h.numNodes)
+	}
+	return h, nil
 }
 
-// readCheckpointMeta reads and verifies the GZE4 meta blob following the
-// header (nil for earlier versions or an empty blob).
+// readCheckpointMeta reads and verifies the meta blob following the
+// header (nil for an empty blob).
 func readCheckpointMeta(br *bufio.Reader, h checkpointHeader) ([]byte, error) {
-	if h.version < 4 || h.metaLen == 0 {
-		if h.version >= 4 && h.metaCRC != 0 {
+	if h.metaLen == 0 {
+		if h.metaCRC != 0 {
 			return nil, fmt.Errorf("%w: empty meta with nonzero checksum", ErrCorruptCheckpoint)
 		}
 		return nil, nil
@@ -942,18 +911,6 @@ func (e *Engine) decodeSection(start uint32, count int, payload []byte) error {
 	return nil
 }
 
-// writeSlot replaces node's sketches from blob (the GZE2 restore path).
-func (e *Engine) writeSlot(node uint32, blob []byte) error {
-	if e.store != nil {
-		return e.store.Write(node, blob)
-	}
-	sh, local := e.shardOf(node)
-	if err := sh.slab.UnmarshalNode(local, blob); err != nil {
-		return fmt.Errorf("core: checkpoint slot of node %d: %w", node, err)
-	}
-	return nil
-}
-
 // configFromHeader overwrites cfg's sketch parameters with the
 // checkpoint's.
 func configFromHeader(cfg Config, h checkpointHeader) Config {
@@ -964,8 +921,8 @@ func configFromHeader(cfg Config, h checkpointHeader) Config {
 	return cfg
 }
 
-// ReadCheckpoint restores an engine from a checkpoint stream (GZE4, or
-// legacy GZE3/GZE2), reading front to back. The provided config controls
+// ReadCheckpoint restores an engine from a GZE4 checkpoint stream, reading
+// front to back. The provided config controls
 // deployment choices (workers, buffering, disk placement); its sketch
 // parameters are overwritten by the checkpoint's. For a seekable file use
 // OpenCheckpoint, which decodes sections in parallel.
@@ -975,7 +932,7 @@ func ReadCheckpoint(r io.Reader, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if h.version == checkpointVersionDelta {
+	if h.delta {
 		return nil, fmt.Errorf("%w: cannot restore from a delta stream", ErrDeltaCheckpoint)
 	}
 	meta, err := readCheckpointMeta(br, h)
@@ -987,14 +944,6 @@ func ReadCheckpoint(r io.Reader, cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e.adoptChainMeta(h, meta)
-	if h.version == 2 {
-		if err := e.readLegacyBody(br, h); err != nil {
-			e.Close()
-			return nil, err
-		}
-		e.updates.Store(h.updates)
-		return e, nil
-	}
 	var payload []byte
 	cursor := uint32(0)
 	for s := 0; s < h.sections; s++ {
@@ -1031,20 +980,6 @@ func ReadCheckpoint(r io.Reader, cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// readLegacyBody decodes the flat GZE2 slot array.
-func (e *Engine) readLegacyBody(br *bufio.Reader, h checkpointHeader) error {
-	blob := make([]byte, e.slotSize)
-	for node := uint32(0); node < h.numNodes; node++ {
-		if _, err := io.ReadFull(br, blob); err != nil {
-			return fmt.Errorf("core: checkpoint truncated at node %d: %w", node, err)
-		}
-		if err := e.writeSlot(node, blob); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // consumeFooter reads (and validates the trailer of) the footer so a
 // streaming reader is left positioned exactly past the checkpoint —
 // concatenated streams, as the extension container writes, stay readable.
@@ -1061,8 +996,7 @@ func consumeFooter(br *bufio.Reader, sections int) error {
 }
 
 // OpenCheckpoint restores an engine from a checkpoint file, decoding
-// sections in parallel across the shard worker pool via the GZE4 footer
-// (legacy GZE2 files fall back to the streaming path).
+// sections in parallel across the shard worker pool via the GZE4 footer.
 func OpenCheckpoint(path string, cfg Config) (*Engine, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -1079,16 +1013,8 @@ func OpenCheckpoint(path string, cfg Config) (*Engine, error) {
 // ReadCheckpointAt restores an engine from a random-access GZE4
 // checkpoint: the footer locates every section, and decode fans out one
 // goroutine per shard worker over whole sections (disk mode writes each
-// with a single coalesced range access). Legacy GZE2 content falls back
-// to the sequential ReadCheckpoint path.
+// with a single coalesced range access).
 func ReadCheckpointAt(ra io.ReaderAt, size int64, cfg Config) (*Engine, error) {
-	var m [4]byte
-	if _, err := ra.ReadAt(m[:], 0); err != nil {
-		return nil, fmt.Errorf("core: reading checkpoint magic: %w", err)
-	}
-	if m == checkpointMagicV2 {
-		return ReadCheckpoint(io.NewSectionReader(ra, 0, size), cfg)
-	}
 	if size < int64(4+checkpointHeaderLen+footerTrailerLen) {
 		return nil, fmt.Errorf("%w: %d bytes is too short", ErrCorruptCheckpoint, size)
 	}
@@ -1100,11 +1026,11 @@ func ReadCheckpointAt(ra io.ReaderAt, size int64, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if h.version == checkpointVersionDelta {
+	if h.delta {
 		return nil, fmt.Errorf("%w: cannot restore from a delta file", ErrDeltaCheckpoint)
 	}
 	var meta []byte
-	if h.version >= 4 && h.metaLen > 0 {
+	if h.metaLen > 0 {
 		metaOff := int64(4 + checkpointHeaderLen)
 		if metaOff+int64(h.metaLen) > size {
 			return nil, fmt.Errorf("%w: meta blob overruns checkpoint", ErrCorruptCheckpoint)
@@ -1273,7 +1199,7 @@ func (e *Engine) MergeCheckpoint(r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	if h.version == checkpointVersionDelta {
+	if h.delta {
 		return fmt.Errorf("%w: cannot merge a delta stream", ErrDeltaCheckpoint)
 	}
 	if err := e.checkCompatible(h); err != nil {
@@ -1291,15 +1217,8 @@ func (e *Engine) MergeCheckpoint(r io.Reader) error {
 	// query, dirtySeal for the delta checkpoint chain) instead of the old
 	// dirty-everything reset, so the next query after a sparse merge runs
 	// the delta path over the touched components only.
-	empty := e.emptySlotBytes()
-	if h.version == 2 {
-		if err := e.mergeLegacyBody(br, h, empty); err != nil {
-			return err
-		}
-	} else {
-		if err := e.mergeSections(br, h, empty); err != nil {
-			return err
-		}
+	if err := e.mergeSections(br, h, e.emptySlotBytes()); err != nil {
+		return err
 	}
 	e.updates.Add(h.updates)
 	e.epoch.Add(1)
@@ -1321,7 +1240,7 @@ func (e *Engine) emptySlotBytes() []byte {
 	return buf
 }
 
-// mergeSections merges a GZE3 body section by section.
+// mergeSections merges a GZE4 body section by section.
 func (e *Engine) mergeSections(br *bufio.Reader, h checkpointHeader, empty []byte) error {
 	cursor := uint32(0)
 	for s := 0; s < h.sections; s++ {
@@ -1390,47 +1309,6 @@ func (e *Engine) mergeSectionPayload(start uint32, count int, incoming, empty []
 	}
 	if err := e.store.WriteRange(start, count, local); err != nil {
 		return fmt.Errorf("core: merge write of nodes [%d,%d): %w", start, int(start)+count, err)
-	}
-	return nil
-}
-
-// mergeLegacyBody merges a flat GZE2 slot array, one slot at a time, via
-// the same zero-alloc slot-merge primitives.
-func (e *Engine) mergeLegacyBody(br *bufio.Reader, h checkpointHeader, empty []byte) error {
-	incoming := e.getSectionBuf(e.slotSize)
-	defer e.putSectionBuf(incoming)
-	var local []byte
-	if e.store != nil {
-		local = e.getSectionBuf(e.slotSize)
-		defer e.putSectionBuf(local)
-	}
-	for node := uint32(0); node < h.numNodes; node++ {
-		if _, err := io.ReadFull(br, incoming); err != nil {
-			return fmt.Errorf("core: checkpoint truncated at node %d: %w", node, err)
-		}
-		if bytes.Equal(incoming, empty) {
-			continue
-		}
-		e.markChangedNode(node)
-		if e.store == nil {
-			sh, localIdx := e.shardOf(node)
-			if err := sh.slab.MergeNodeBinary(localIdx, incoming); err != nil {
-				return fmt.Errorf("core: merging node %d: %w", node, err)
-			}
-			continue
-		}
-		if err := e.store.Read(node, local); err != nil {
-			return err
-		}
-		for r := 0; r < e.cfg.Rounds; r++ {
-			off := r * e.sketchSize
-			if err := cubesketch.MergeSerialized(local[off:off+e.sketchSize], incoming[off:off+e.sketchSize]); err != nil {
-				return fmt.Errorf("core: merging node %d round %d: %w", node, r, err)
-			}
-		}
-		if err := e.store.Write(node, local); err != nil {
-			return err
-		}
 	}
 	return nil
 }

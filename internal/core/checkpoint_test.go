@@ -187,7 +187,7 @@ func TestOpenCheckpointParallelRestore(t *testing.T) {
 			for _, eg := range edges {
 				mustUpdate(t, src, eg.U, eg.V)
 			}
-			path := filepath.Join(t.TempDir(), "ckpt.gze3")
+			path := filepath.Join(t.TempDir(), "ckpt.gze")
 			f, err := os.Create(path)
 			if err != nil {
 				t.Fatal(err)
@@ -392,7 +392,7 @@ func corruptAndExpect(t *testing.T, damage func([]byte) []byte, wantErr error) {
 		t.Fatalf("streaming read error = %v, want %v", err, wantErr)
 	}
 
-	path := filepath.Join(t.TempDir(), "bad.gze3")
+	path := filepath.Join(t.TempDir(), "bad.gze")
 	if err := os.WriteFile(path, bad, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -428,6 +428,16 @@ func TestCheckpointFaultPaths(t *testing.T) {
 			return b
 		}, ErrCorruptCheckpoint)
 	})
+	// GZE2 and GZE3 are retired formats: a stream carrying either magic
+	// is rejected like any other foreign bytes, never decoded.
+	for _, magic := range []string{"GZE2", "GZE3"} {
+		t.Run("retired-magic-"+magic, func(t *testing.T) {
+			corruptAndExpect(t, func(b []byte) []byte {
+				copy(b, magic)
+				return b
+			}, ErrCorruptCheckpoint)
+		})
+	}
 }
 
 // TestMergeCheckpointIncompatibleText pins that the incompatibility error
@@ -456,89 +466,6 @@ func TestMergeCheckpointIncompatibleText(t *testing.T) {
 		if !strings.Contains(msg, want) {
 			t.Fatalf("error %q does not name %q", msg, want)
 		}
-	}
-}
-
-// writeLegacyGZE2 serializes an engine's drained state in the pre-GZE3
-// flat-slot format, exactly as PR 1's writer did.
-func writeLegacyGZE2(t *testing.T, e *Engine) []byte {
-	t.Helper()
-	if err := e.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	buf.Write(checkpointMagicV2[:])
-	var hdr [28]byte
-	binary.LittleEndian.PutUint32(hdr[0:], e.cfg.NumNodes)
-	binary.LittleEndian.PutUint64(hdr[4:], e.cfg.Seed)
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(e.cfg.Columns))
-	binary.LittleEndian.PutUint32(hdr[16:], uint32(e.cfg.Rounds))
-	binary.LittleEndian.PutUint64(hdr[20:], e.updates.Load())
-	buf.Write(hdr[:])
-	blob := make([]byte, e.slotSize)
-	for node := uint32(0); node < e.cfg.NumNodes; node++ {
-		sh, local := e.shardOf(node)
-		sh.slab.MarshalNode(local, blob)
-		buf.Write(blob)
-	}
-	return buf.Bytes()
-}
-
-// TestGZE2BackwardCompat reads and merges a legacy flat-format stream
-// behind the magic check.
-func TestGZE2BackwardCompat(t *testing.T) {
-	const n = 48
-	src, err := NewEngine(Config{NumNodes: n, Seed: 61})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close()
-	edges := randomEdges(n, 150, 11, 12)
-	for _, eg := range edges {
-		mustUpdate(t, src, eg.U, eg.V)
-	}
-	legacy := writeLegacyGZE2(t, src)
-
-	// Restore: streaming reader and the ReaderAt front door both work.
-	back, err := ReadCheckpoint(bytes.NewReader(legacy), Config{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer back.Close()
-	checkAgainstExact(t, back, n, edges)
-
-	path := filepath.Join(t.TempDir(), "legacy.gze2")
-	if err := os.WriteFile(path, legacy, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	back2, err := OpenCheckpoint(path, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer back2.Close()
-	checkAgainstExact(t, back2, n, edges)
-
-	// Merge a legacy shard into a live engine holding the other shard.
-	other, err := NewEngine(Config{NumNodes: n, Seed: 61})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer other.Close()
-	extra := stream.Edge{U: 0, V: 47}
-	for _, eg := range edges {
-		if eg == extra { // a merge would toggle a duplicate back out
-			extra = stream.Edge{U: 1, V: 46}
-			break
-		}
-	}
-	mustUpdate(t, other, extra.U, extra.V)
-	if err := other.MergeCheckpoint(bytes.NewReader(legacy)); err != nil {
-		t.Fatal(err)
-	}
-	checkAgainstExact(t, other, n, append(append([]stream.Edge(nil), edges...), extra))
-	// Truncated legacy body still rejected.
-	if _, err := ReadCheckpoint(bytes.NewReader(legacy[:len(legacy)-5]), Config{}); err == nil {
-		t.Fatal("truncated GZE2 accepted")
 	}
 }
 
@@ -628,7 +555,7 @@ func TestOpenCheckpointRejectsOverlappingFooter(t *testing.T) {
 	footerOff := int(binary.LittleEndian.Uint64(b[len(b)-footerTrailerLen:]))
 	// Point entry 1 at entry 0's section: same start/offset = overlap.
 	copy(b[footerOff+footerEntryLen:footerOff+2*footerEntryLen], b[footerOff:footerOff+footerEntryLen])
-	path := filepath.Join(t.TempDir(), "overlap.gze3")
+	path := filepath.Join(t.TempDir(), "overlap.gze")
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}

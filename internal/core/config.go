@@ -132,12 +132,6 @@ type Config struct {
 	// only when the hottest shard's load exceeds this multiple of the mean
 	// (default 1.25).
 	RebalanceFactor float64
-	// SlicesPerShard is the granularity of the dynamic node→shard
-	// processing assignment: the node space is split into
-	// Shards × SlicesPerShard slices (by node modulo), each independently
-	// routable to any shard (default 16). More slices mean finer-grained
-	// rebalancing at slightly more routing state.
-	SlicesPerShard int
 	// NoDeltaQuery disables incremental query maintenance. By default a
 	// full query whose previous result is still cached reuses that forest:
 	// only the components containing nodes whose sketches changed since
@@ -159,12 +153,6 @@ type Config struct {
 	// the 0.20 default; negative disables delta checkpoints entirely
 	// (every seal is full, kept for ablation).
 	DeltaCheckpointThreshold float64
-	// QueryScanBytes is the target size of one sequential ReadRange the
-	// disk-mode query scan issues (default 1 MiB): each Boruvka round
-	// reads the still-live stretch of the sketch store in chunks of this
-	// many bytes instead of one point read per node (Lemma 5's sequential
-	// scan). Larger values mean fewer, bigger reads.
-	QueryScanBytes int
 	// DeviceFactory overrides block-device creation for the sketch store
 	// and gutter tree. Nil uses files under Dir (or in-memory devices when
 	// Dir is empty). Tests use it to inject faulty devices.
@@ -227,9 +215,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.QueueCapacity <= 0 {
 		c.QueueCapacity = 8 * c.Shards
 	}
-	if c.QueryScanBytes <= 0 {
-		c.QueryScanBytes = 1 << 20
-	}
 	if c.DeltaQueryMaxDirtyFrac <= 0 {
 		c.DeltaQueryMaxDirtyFrac = 0.10
 	}
@@ -248,11 +233,21 @@ func (c Config) withDefaults() (Config, error) {
 	if c.RebalanceFactor <= 1 {
 		c.RebalanceFactor = 1.25
 	}
-	if c.SlicesPerShard <= 0 {
-		c.SlicesPerShard = 16
-	}
 	return c, nil
 }
+
+// queryScanBytes is the target size of one sequential ReadRange a
+// disk-mode scan issues: each Boruvka round (and the checkpoint section
+// scan and store initialization) covers the sketch store in chunks of this
+// many bytes instead of one point access per node (Lemma 5's sequential
+// scan).
+const queryScanBytes = 1 << 20
+
+// slicesPerShard is the granularity of the dynamic node→shard processing
+// assignment: the node space is split into Shards × slicesPerShard slices
+// (by node modulo), each independently routable to any shard by the
+// rebalancer.
+const slicesPerShard = 16
 
 // DefaultCacheBytes is the write-back cache budget used when
 // Config.CacheBytes is zero in disk mode.

@@ -439,9 +439,9 @@ func (e *Engine) ApplyDeltaCheckpoint(r io.Reader, onReplace func(node uint32, b
 	if err != nil {
 		return err
 	}
-	if h.version != checkpointVersionDelta {
-		return fmt.Errorf("%w: ApplyDeltaCheckpoint needs a GZD1 stream, got format version %d",
-			ErrCorruptCheckpoint, h.version)
+	if !h.delta {
+		return fmt.Errorf("%w: ApplyDeltaCheckpoint needs a GZD1 stream, got a full GZE4 checkpoint",
+			ErrCorruptCheckpoint)
 	}
 	if err := e.checkCompatible(h); err != nil {
 		return err

@@ -430,7 +430,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		// before first write decode correctly, in coalesced chunks rather
 		// than one device write per node.
 		init := cubesketch.NewSlab(1, e.vecLen, cfg.Columns, seeds)
-		chunkSlots := cfg.QueryScanBytes / e.slotSize
+		chunkSlots := queryScanBytes / e.slotSize
 		if chunkSlots < 1 {
 			chunkSlots = 1
 		}
@@ -495,7 +495,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	e.rebalancing = cfg.Shards > 1 && !cfg.NoRebalance
 	e.numSlices = 1
 	if cfg.Shards > 1 {
-		sps := cfg.SlicesPerShard
+		sps := slicesPerShard
 		// Keep the routing tables sane if someone runs thousands of
 		// shards; numSlices must stay a multiple of Shards.
 		if max := (1 << 20) / cfg.Shards; sps > max {

@@ -31,7 +31,7 @@ import (
 //
 //  2. Sequential disk scan. In out-of-core mode each round performs one
 //     coalesced ReadRange pass over the slots of still-live nodes,
-//     QueryScanBytes at a time, rather than one point Read per node: the
+//     queryScanBytes at a time, rather than one point Read per node: the
 //     I/O per round is O(liveBytes/B) blocks in a handful of ops.
 //
 //  3. Ingest-epoch caching. The engine bumps an epoch counter on every
@@ -943,7 +943,7 @@ func (e *Engine) mergeMembers(q *querySession, acc *cubesketch.Sketch, members [
 // so the cache copy is the authoritative one. The remaining (uncached)
 // live groups are coalesced into sequential runs (bridging gaps cheaper
 // than an extra operation), each run read with ReadRange in
-// QueryScanBytes-sized chunks, and each slot's round-r bytes XOR-merged
+// queryScanBytes-sized chunks, and each slot's round-r bytes XOR-merged
 // into its root's arena sketch without decoding the other rounds. One
 // round costs O(uncachedLiveBytes/B) block reads in O(runs ×
 // chunksPerRun) operations — against the seed path's one Read per node
@@ -951,7 +951,7 @@ func (e *Engine) mergeMembers(q *querySession, acc *cubesketch.Sketch, members [
 func (e *Engine) scanRoundFromDisk(q *querySession, arena *cubesketch.Slab, round int) error {
 	n := int(e.cfg.NumNodes)
 	npg := e.npg
-	chunkSlots := e.cfg.QueryScanBytes / e.slotSize
+	chunkSlots := queryScanBytes / e.slotSize
 	if chunkSlots < 1 {
 		chunkSlots = 1
 	}

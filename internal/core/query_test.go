@@ -156,7 +156,7 @@ func TestDiskQueryScanReadCount(t *testing.T) {
 	if reads == 0 {
 		t.Fatal("disk-mode query issued no reads at all")
 	}
-	// The whole store fits in one QueryScanBytes chunk and a connected
+	// The whole store fits in one queryScanBytes chunk and a connected
 	// path keeps a single live run, so each Boruvka round costs exactly
 	// one sequential ReadRange. The seed behavior was n point reads.
 	if reads > uint64(st.QueryRounds) {

@@ -74,7 +74,6 @@ func TestRebalancerSkewedStreamHandoff(t *testing.T) {
 		QueueCapacity:     2 * shards, // tiny queues → constant backpressure
 		RebalanceInterval: 200 * time.Microsecond,
 		RebalanceFactor:   1.05,
-		SlicesPerShard:    16,
 	}
 	e, err := NewEngine(cfg)
 	if err != nil {

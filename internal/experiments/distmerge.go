@@ -12,7 +12,7 @@ import (
 // DistributedMerge realizes the distributed-ingestion direction of the
 // paper's conclusion as a measured sweep: the stream is split round-robin
 // into K disjoint shards, each ingested by an independent engine (standing
-// in for K machines), every shard ships its GZE3 checkpoint, and one
+// in for K machines), every shard ships its GZE4 checkpoint, and one
 // aggregator merges them all. The table reports checkpoint size, write and
 // merge rates, the ingest stall of the low-stall snapshot, and — the
 // linearity guarantee — that the merged engine's Connected answers are
@@ -30,7 +30,7 @@ func DistributedMerge(o Options) (*Table, error) {
 		Title:  fmt.Sprintf("Distributed shard merge via checkpoints (kron%d)", scale),
 		Header: []string{"shards", "ckpt total", "write rate", "stall", "merge rate", "vs reference"},
 		Notes: []string{
-			"each shard ingests a disjoint 1/K of the stream; checkpoints merge into one engine",
+			"each shard ingests a disjoint 1/K of the stream; its GZE4 checkpoint merges into one engine",
 			"write/merge rate = checkpoint MiB per second of WriteCheckpoint/MergeCheckpoint wall time",
 			"stall = max time ingestion was quiesced by a shard's snapshot (drain + seal, not the stream write)",
 			"vs reference = merged engine's component partition equals a single engine over the whole stream",

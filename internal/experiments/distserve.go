@@ -43,7 +43,7 @@ func DistServe(o Options) (*Table, error) {
 		Notes: []string{
 			"stream driven through the coordinator's /v1/ingest (GZW1 frames over HTTP), node-range partitioned to workers",
 			"ingest rate = updates/sec of send+drain wall time, including partitioning, framing and acks",
-			"refresh = POST /v1/refresh wall time: drain windows, pull every worker's GZE3 checkpoint, MergeCheckpoint into the aggregator",
+			"refresh = POST /v1/refresh wall time: drain windows, pull every worker's GZE4 checkpoint or GZD1 delta, MergeCheckpoint into the aggregator",
 			"vs reference = coordinator's component partition equals a single engine over the whole stream",
 		},
 	}

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -436,14 +435,15 @@ func (co *Coordinator) applyDeltaRefresh(view *aggView, pulls []checkpointPull, 
 // same buffered bytes, so each worker is pulled once). Caller holds
 // refreshMu.
 func (co *Coordinator) fullRefresh(old *aggView, pulls []checkpointPull, cutSum uint64) error {
-	sources := make([]CheckpointSource, len(pulls))
-	for i, p := range pulls {
-		b := p.buf.Bytes()
-		sources[i] = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(b)), nil }
-	}
-	agg, err := Aggregate(co.cfg.Engine, sources)
+	agg, err := core.NewEngine(co.ramCfg())
 	if err != nil {
 		return err
+	}
+	for i, p := range pulls {
+		if err := agg.MergeCheckpoint(bytes.NewReader(p.buf.Bytes())); err != nil {
+			agg.Close()
+			return fmt.Errorf("gzserve: merging checkpoint from worker %d (%s): %w", i, co.clients[i].Addr(), err)
+		}
 	}
 	if !co.cfg.NoDeltaRefresh {
 		// Rebuild each mirror from the full checkpoint it just shipped:

@@ -2,29 +2,22 @@ package gzserve
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"graphzeppelin/internal/stream"
 )
 
-// Partitioner routes stream updates across K parts. Linearity makes any
-// routing policy correct — the merged sketches are the XOR of whatever
-// each part saw — so the policy only decides locality and balance:
-//
-//   - Range: an update goes to the part owning its lower endpoint's
-//     node range (contiguous ⌈n/K⌉-node slices). Deterministic, so a
-//     retried batch re-partitions identically, and range-local: edges
-//     inside a community tend to revisit one worker's gutters.
-//   - RoundRobin: updates rotate across parts — the maximally balanced
-//     policy the in-process distrib.Cluster has always used.
-//
-// Both the networked coordinator and the in-process cluster route
-// through this one implementation.
+// Partitioner routes stream updates across K parts by node range: an
+// update goes to the part owning its lower endpoint's node range
+// (contiguous ⌈n/K⌉-node slices). Linearity makes any routing policy
+// correct — the merged sketches are the XOR of whatever each part saw —
+// so the policy only decides locality and balance. Range routing is
+// deterministic, so a retried batch re-partitions identically, and
+// range-local: edges inside a community tend to revisit one worker's
+// gutters. A Partitioner is immutable and safe for concurrent use.
 type Partitioner struct {
 	k        int
 	numNodes uint32
-	nodesPer uint32 // range policy: nodes per part (0 = round-robin)
-	next     atomic.Uint64
+	nodesPer uint32
 }
 
 // NewRangePartitioner partitions the node universe [0, numNodes) into k
@@ -40,23 +33,11 @@ func NewRangePartitioner(numNodes uint32, k int) (*Partitioner, error) {
 	return &Partitioner{k: k, numNodes: numNodes, nodesPer: nodesPer}, nil
 }
 
-// NewRoundRobinPartitioner rotates updates across k parts.
-func NewRoundRobinPartitioner(k int) (*Partitioner, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("gzserve: partitioner needs k >= 1, got %d", k)
-	}
-	return &Partitioner{k: k}, nil
-}
-
 // Parts returns K.
 func (p *Partitioner) Parts() int { return p.k }
 
-// Part returns the destination part for one update. Round-robin mutates
-// a cursor and is safe for concurrent use; range is pure.
+// Part returns the destination part for one update.
 func (p *Partitioner) Part(u stream.Update) int {
-	if p.nodesPer == 0 {
-		return int(p.next.Add(1)-1) % p.k
-	}
 	lo := u.Edge.U
 	if u.Edge.V < lo {
 		lo = u.Edge.V
@@ -68,13 +49,8 @@ func (p *Partitioner) Part(u stream.Update) int {
 	return part
 }
 
-// Range returns the node range [lo, hi) owned by part i under the range
-// policy (the full universe for round-robin, where ownership is not by
-// node).
+// Range returns the node range [lo, hi) owned by part i.
 func (p *Partitioner) Range(i int) (lo, hi uint32) {
-	if p.nodesPer == 0 {
-		return 0, p.numNodes
-	}
 	lo = uint32(i) * p.nodesPer
 	hi = lo + p.nodesPer
 	if hi > p.numNodes || i == p.k-1 {

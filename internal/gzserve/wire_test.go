@@ -180,23 +180,6 @@ func TestPartitionerRange(t *testing.T) {
 	}
 }
 
-func TestPartitionerRoundRobin(t *testing.T) {
-	p, err := NewRoundRobinPartitioner(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u := stream.Update{Edge: stream.Edge{U: 0, V: 1}}
-	seen := map[int]int{}
-	for i := 0; i < 9; i++ {
-		seen[p.Part(u)]++
-	}
-	for part := 0; part < 3; part++ {
-		if seen[part] != 3 {
-			t.Fatalf("round-robin distribution %v", seen)
-		}
-	}
-}
-
 func TestPartitionerSplit(t *testing.T) {
 	p, _ := NewRangePartitioner(8, 2)
 	ups := []stream.Update{

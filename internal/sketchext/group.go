@@ -118,7 +118,7 @@ func (g *engineGroup) Stats() core.Stats {
 
 // extMagic heads the GZX1 extension checkpoint container: a fixed header
 // followed by each layer engine's own (self-delimiting) checkpoint stream,
-// back to back. The engine-level GZE3 format carries its own sections and
+// back to back. The engine-level GZE4 format carries its own sections and
 // checksums, so the container adds only layer identity.
 var extMagic = [4]byte{'G', 'Z', 'X', '1'}
 
