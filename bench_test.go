@@ -367,7 +367,15 @@ func BenchmarkSpanningForest(b *testing.B) {
 // nodes — the delta path reuses the cached forest and re-solves only the
 // affected components, so latency scales with the dirty fraction instead
 // of the graph. Uses a kron scale-10 stream (1024 nodes) so the ratios
-// are robust. Recorded in BENCH_query.json and smoke-run in CI.
+// are robust. The disk/dirty=1% case runs the same trickle out of core,
+// with a 4 MiB write-back cache holding about a fifth of the sketches, and
+// reports the sketch-store blocks each delta query moves
+// (device-blocks/op), a hardware-independent counter. A non-suspect
+// trickle reads only its dirty nodes' sketches, which its applies have
+// just left in the cache, so it moves no blocks; only the suspect
+// trickles (reported as suspect: a forest edge happened to get both
+// endpoints dirtied) re-scan their components off the device. The RAM
+// cases are recorded in BENCH_query.json; all are smoke-run in CI.
 func BenchmarkConnectedAfterDelta(b *testing.B) {
 	res := experiments.KronStream(10, 1)
 	n := res.NumNodes
@@ -376,18 +384,23 @@ func BenchmarkConnectedAfterDelta(b *testing.B) {
 		// frac is the node fraction dirtied before each timed query;
 		// -1 runs cold full queries, 0 queries a quiet warm cache.
 		frac float64
+		disk bool
 	}{
-		{"cold", -1},
-		{"cached", 0},
-		{"dirty=0.1%", 0.001},
-		{"dirty=1%", 0.01},
-		{"dirty=10%", 0.1},
+		{"cold", -1, false},
+		{"cached", 0, false},
+		{"dirty=0.1%", 0.001, false},
+		{"dirty=1%", 0.01, false},
+		{"dirty=10%", 0.1, false},
+		{"disk/dirty=1%", 0.01, true},
 	}
 	for _, mode := range modes {
 		b.Run(mode.name, func(b *testing.B) {
 			opts := []graphzeppelin.Option{graphzeppelin.WithSeed(1), graphzeppelin.WithWorkers(2)}
 			if mode.frac < 0 {
 				opts = append(opts, graphzeppelin.WithDeltaQueries(false))
+			}
+			if mode.disk {
+				opts = append(opts, graphzeppelin.WithSketchesOnDisk(b.TempDir()), graphzeppelin.WithCacheBytes(4<<20))
 			}
 			g, err := graphzeppelin.New(n, opts...)
 			if err != nil {
@@ -437,6 +450,7 @@ func BenchmarkConnectedAfterDelta(b *testing.B) {
 			if mode.frac > 0 && k < 1 {
 				k = 1
 			}
+			var blocks uint64 // sketch-store blocks moved by the timed queries
 			b.ResetTimer()
 			b.StopTimer()
 			for i := 0; i < b.N; i++ {
@@ -455,11 +469,13 @@ func BenchmarkConnectedAfterDelta(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
+				io := g.Stats().SketchIO.TotalBlocks()
 				b.StartTimer()
 				if _, err := g.SpanningForest(); err != nil {
 					b.Fatal(err)
 				}
 				b.StopTimer()
+				blocks += g.Stats().SketchIO.TotalBlocks() - io
 			}
 			st := g.Stats()
 			if mode.frac > 0 {
@@ -467,6 +483,10 @@ func BenchmarkConnectedAfterDelta(b *testing.B) {
 					b.Fatalf("no delta queries ran (fallbacks=%d)", st.DeltaFallbacks)
 				}
 				b.ReportMetric(float64(st.DeltaFallbacks), "fallbacks")
+			}
+			if mode.disk {
+				b.ReportMetric(float64(blocks)/float64(b.N), "device-blocks/op")
+				b.ReportMetric(float64(st.SuspectDeltaQueries), "suspect")
 			}
 		})
 	}

@@ -205,7 +205,9 @@ func WithDir(dir string) Option {
 // access on eviction or flush, so ingest I/O is paid per group residency,
 // not per batch. A negative budget disables the cache entirely, making
 // every batch pay a full slot read–decode–apply–encode–write round trip
-// (the ablation baseline of gzbench -exp cache). No effect in RAM mode.
+// (the ablation baseline of gzbench -exp cache). A quarter of the budget
+// also caps the before-images incremental queries capture; without a
+// cache none are captured. No effect in RAM mode.
 func WithCacheBytes(n int64) Option {
 	return func(c *core.Config) { c.CacheBytes = n }
 }

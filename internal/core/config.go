@@ -97,9 +97,10 @@ type Config struct {
 	// round trip per batch to one group round trip per cache residency.
 	// Zero picks the 32 MiB default; negative disables the cache entirely
 	// (every batch pays the per-slot read–decode–apply–encode–write round
-	// trip — the pre-cache behavior, kept for ablation). Ignored in RAM
-	// mode. After construction, Engine.Config() reports the effective
-	// value.
+	// trip — the pre-cache behavior, kept for ablation). A quarter of the
+	// budget also bounds the before-images incremental queries capture
+	// (none without the cache). Ignored in RAM mode. After construction,
+	// Engine.Config() reports the effective value.
 	CacheBytes int64
 	// Dir is the directory for disk files (sketch store, gutter tree).
 	// Empty means in-memory devices are used even for "disk" structures,
@@ -252,6 +253,13 @@ const slicesPerShard = 16
 // DefaultCacheBytes is the write-back cache budget used when
 // Config.CacheBytes is zero in disk mode.
 const DefaultCacheBytes = 32 << 20
+
+// beforeImageCacheShare sizes disk mode's delta-query before-image
+// budget: live images may hold up to CacheBytes/beforeImageCacheShare
+// bytes (and retired buffers kept for reuse as much again). A 1% trickle
+// on a kron12 graph dirties about 41 nodes against a budget of 281 slots
+// under the default cache.
+const beforeImageCacheShare = 4
 
 // DefaultRounds returns the node-sketch depth for a graph on numNodes
 // nodes: ⌈log2 numNodes⌉ + 2 Boruvka rounds, enough that the forest is

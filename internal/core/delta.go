@@ -318,24 +318,16 @@ func (e *Engine) adoptChainMeta(h checkpointHeader, meta []byte) {
 
 // markChangedNode records an out-of-band sketch mutation of node (a
 // checkpoint merge, delta apply, or node patch — anything bypassing the
-// batch apply path) in both dirty epochs, capturing the node's pre-change
-// image for the delta query exactly the way the apply path's captureBefore
-// does. Must run BEFORE the mutation, under the quiesce write lock with
-// the workers idle.
+// batch apply path) in both dirty epochs. In RAM mode it captures the
+// node's pre-change image for the delta query through captureBefore, like
+// the apply path; disk mode captures none here, so the node's component
+// takes the delta query's full materialization. Must run BEFORE the
+// mutation, under the quiesce write lock with the workers idle.
 func (e *Engine) markChangedNode(node uint32) {
 	home, local := e.shardOf(node)
-	if e.store == nil && !e.dirtyAll.Load() {
-		first := true
-		for _, s := range e.shards {
-			if s.dirty.Test(uint64(node)) {
-				first = false
-				break
-			}
-		}
-		if first {
-			if buf := e.beforeSlot(home, node); buf != nil {
-				home.slab.MarshalNode(local, buf)
-			}
+	if e.store == nil {
+		if buf := e.captureBefore(home, node); buf != nil {
+			home.slab.MarshalNode(local, buf)
 		}
 	}
 	home.dirty.Set(uint64(node))

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"graphzeppelin/internal/stream"
@@ -30,6 +31,8 @@ type equivHarness struct {
 	// (checkpoint restores, crash recoveries) so the vacuity check sees
 	// the whole run, not just the last engine's life.
 	deltaTotal uint64
+	// diffs counts the delta queries that materialized a before-image diff.
+	diffs int
 }
 
 // retire accumulates the outgoing engine's counters before a replacement.
@@ -84,7 +87,11 @@ func (h *equivHarness) check() {
 	for eg := range h.present {
 		edges = append(edges, eg)
 	}
+	deltas := h.eng.Stats().DeltaQueries
 	checkAgainstExact(h.t, h.eng, h.n, edges)
+	if h.eng.Stats().DeltaQueries > deltas && ranDiff(h.eng) {
+		h.diffs++
+	}
 }
 
 // step runs one randomized step: usually a small delta (the incremental
@@ -131,23 +138,216 @@ func TestDeltaQueryEquivalenceRebalanced(t *testing.T) {
 	h.requireDeltas()
 }
 
+// TestDeltaQueryEquivalenceDisk runs the harness on out-of-core engines
+// in every write-back cache regime: the default cache (everything
+// resident), one resident group per shard (before-images are captured on
+// miss fills, and the query scan reads current bytes back off the device
+// after evictions), no cache at all (no images: every affected component
+// re-solves in full), and an image budget smaller than some deltas' dirty
+// sets (the un-imaged nodes demote their components mid-delta).
 func TestDeltaQueryEquivalenceDisk(t *testing.T) {
 	t.Parallel()
 	const n = 128
-	eng, err := NewEngine(Config{
+	base := Config{
 		NumNodes: n, Seed: 23, Shards: 2, Workers: 2,
+		SketchesOnDisk: true, Buffering: BufferNone,
+	}
+	slot := int64(slotSizeOf(t, base))
+	for _, tc := range []struct {
+		name       string
+		cacheBytes int64
+		npg        int
+		// diff: the before-image diff path must have run. exhaust: every
+		// fifth step dirties more nodes than the image budget holds while
+		// staying under the fallback threshold.
+		diff, exhaust bool
+	}{
+		{name: "default-cache", diff: true},
+		// Groups of 8 and room for one per shard, with a 6-image budget.
+		{name: "one-group-per-shard", cacheBytes: 24 * slot, npg: 8, diff: true},
+		{name: "uncached", cacheBytes: -1},
+		// A 4-image budget against 8–12-node deltas.
+		{name: "image-budget-exhausted", cacheBytes: 16 * slot, diff: true, exhaust: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			cfg := base
+			cfg.CacheBytes, cfg.NodesPerGroup = tc.cacheBytes, tc.npg
+			eng, err := NewEngine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			h := &equivHarness{t: t, eng: eng, n: n,
+				rng: rand.New(rand.NewPCG(23, 2)), present: map[stream.Edge]bool{}}
+			exhausted := 0
+			for i := 0; i < 60; i++ {
+				if !tc.exhaust || i%5 != 4 {
+					h.step(false)
+					continue
+				}
+				before := eng.Stats()
+				h.toggle(4+int(h.rng.Uint64N(3)), false) // 8–12 dirty nodes: under the 10% threshold
+				if err := eng.Drain(); err != nil {
+					t.Fatal(err)
+				}
+				if eng.beforeNodes.Load() == eng.beforeLimit {
+					exhausted++
+				}
+				h.check()
+				if after := eng.Stats(); after.DeltaQueries != before.DeltaQueries+1 {
+					t.Fatalf("step %d: over-budget delta did not run incrementally (fallbacks %d -> %d)",
+						i, before.DeltaFallbacks, after.DeltaFallbacks)
+				}
+			}
+			h.requireDeltas()
+			st := eng.Stats()
+			switch {
+			case tc.diff && h.diffs == 0:
+				t.Fatalf("no delta query materialized a before-image diff (deltas=%d suspect=%d)",
+					st.DeltaQueries, st.SuspectDeltaQueries)
+			case tc.diff && st.SuspectDeltaQueries >= st.DeltaQueries:
+				t.Fatalf("every delta query was suspect (deltas=%d suspect=%d)", st.DeltaQueries, st.SuspectDeltaQueries)
+			case !tc.diff && (h.diffs != 0 || st.BeforeImageBytes != 0):
+				t.Fatalf("uncached engine captured before-images (%d diff queries, %d bytes)", h.diffs, st.BeforeImageBytes)
+			}
+			if tc.npg > 0 && (st.SketchCache.Evictions == 0 || st.SketchCache.CachedGroups > cfg.Shards) {
+				t.Fatalf("cache held %d groups with %d evictions, want one per shard", st.SketchCache.CachedGroups, st.SketchCache.Evictions)
+			}
+			if tc.exhaust && exhausted == 0 {
+				t.Fatal("no delta ran with the image budget exhausted")
+			}
+		})
+	}
+}
+
+// slotSizeOf returns the serialized node-slot size of cfg's sketch
+// geometry.
+func slotSizeOf(t *testing.T, cfg Config) int {
+	t.Helper()
+	cfg.SketchesOnDisk = false
+	probe, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer probe.Close()
+	return probe.slotSize
+}
+
+// ranDiff reports whether e's last full query materialized some node from
+// its before-image diff.
+func ranDiff(e *Engine) bool {
+	return e.qs != nil && slices.Contains(e.qs.material, matDiff)
+}
+
+// TestDiskDeltaQueryReadsNoDevice pins the disk-mode delta I/O contract:
+// after a trickle that demotes no component, with every group resident in
+// the write-back cache, the delta query re-certifies the affected
+// components from their dirty members' cached sketches and before-images
+// alone — zero device block reads.
+func TestDiskDeltaQueryReadsNoDevice(t *testing.T) {
+	const n = 128
+	eng, err := NewEngine(Config{
+		NumNodes: n, Seed: 29, Shards: 2, Workers: 2,
 		SketchesOnDisk: true, Buffering: BufferNone,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	h := &equivHarness{t: t, eng: eng, n: n,
-		rng: rand.New(rand.NewPCG(23, 2)), present: map[stream.Edge]bool{}}
-	for i := 0; i < 60; i++ {
-		h.step(false)
+	// Four paths of 32 nodes: every node is touched, so every group is
+	// resident.
+	var edges []stream.Edge
+	for u := uint32(0); u < n; u++ {
+		if u%32 != 31 {
+			mustUpdate(t, eng, u, u+1)
+			edges = append(edges, stream.Edge{U: u, V: u + 1})
+		}
 	}
-	h.requireDeltas()
+	checkAgainstExact(t, eng, n, edges) // cold: caches the baseline
+	if st := eng.Stats(); st.SketchCache.CachedGroups != eng.store.NumGroups() {
+		t.Fatalf("%d of %d groups resident, want all", st.SketchCache.CachedGroups, eng.store.NumGroups())
+	}
+
+	// New edges only (no forest edge can lose both endpoints), one joining
+	// two paths and one inside a path.
+	for _, eg := range []stream.Edge{{U: 5, V: 40}, {U: 70, V: 90}} {
+		mustUpdate(t, eng, eg.U, eg.V)
+		edges = append(edges, eg)
+	}
+	if err := eng.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	before := eng.Stats()
+	checkAgainstExact(t, eng, n, edges)
+	after := eng.Stats()
+	if after.DeltaQueries != before.DeltaQueries+1 || after.SuspectDeltaQueries != before.SuspectDeltaQueries {
+		t.Fatalf("trickle query: deltas %d -> %d, suspect %d -> %d; want one non-suspect delta",
+			before.DeltaQueries, after.DeltaQueries, before.SuspectDeltaQueries, after.SuspectDeltaQueries)
+	}
+	if !ranDiff(eng) {
+		t.Fatal("trickle query did not materialize before-image diffs")
+	}
+	if got := after.SketchIO.ReadBlocks - before.SketchIO.ReadBlocks; got != 0 {
+		t.Fatalf("non-suspect delta query read %d device blocks, want 0", got)
+	}
+}
+
+// TestBeforeImagesNeedABaseline checks that before-images are captured
+// only once a query result is cached: a bulk load with no query holds
+// none, in RAM or on disk. After a baseline exists a trickle captures,
+// Stats reports the images (also in MemoryBytes), and repeated bursts
+// past the capture limit keep the live images plus the retired buffers
+// within twice the limit.
+func TestBeforeImagesNeedABaseline(t *testing.T) {
+	const n = 128
+	for _, disk := range []bool{false, true} {
+		eng, err := NewEngine(Config{
+			NumNodes: n, Seed: 37, Shards: 2, Workers: 2,
+			SketchesOnDisk: disk, Buffering: BufferNone,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for u := uint32(0); u+1 < n; u++ {
+			mustUpdate(t, eng, u, u+1)
+		}
+		if err := eng.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		if st := eng.Stats(); st.BeforeImageBytes != 0 {
+			t.Fatalf("disk=%v: bulk load with no query holds %d bytes of before-images", disk, st.BeforeImageBytes)
+		}
+		if _, _, err := eng.ConnectedComponents(); err != nil {
+			t.Fatal(err)
+		}
+		mustUpdate(t, eng, 3, 77)
+		if err := eng.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		slot := int64(eng.slotSize)
+		st := eng.Stats()
+		if st.BeforeImageBytes != 2*slot {
+			t.Fatalf("disk=%v: trickle holds %d bytes of before-images, want 2 slots (%d)", disk, st.BeforeImageBytes, 2*slot)
+		}
+		base := st.MemoryBytes - st.BeforeImageBytes
+		for round := 0; round < 3; round++ {
+			for u := uint32(0); u < n/2; u++ { // dirties every node, past the limit
+				mustUpdate(t, eng, u, u+n/2)
+			}
+			if _, _, err := eng.ConnectedComponents(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st = eng.Stats()
+		if limit := 2 * int64(eng.beforeLimit) * slot; st.BeforeImageBytes > limit {
+			t.Fatalf("disk=%v: %d bytes of before-images held, want at most %d", disk, st.BeforeImageBytes, limit)
+		}
+		if st.MemoryBytes-st.BeforeImageBytes != base {
+			t.Fatalf("disk=%v: MemoryBytes does not account the before-images", disk)
+		}
+		eng.Close()
+	}
 }
 
 // TestDeltaQueryEquivalenceCheckpoint interleaves deltas with checkpoint
@@ -279,7 +479,7 @@ func TestDeltaStatsCounters(t *testing.T) {
 	}
 
 	mustUpdate(t, eng, 2, 3)
-	mustUpdate(t, eng, 2, 3) // same edge again: same two dirty nodes
+	mustUpdate(t, eng, 2, 3)            // same edge again: same two dirty nodes
 	if err := eng.Drain(); err != nil { // Stats does not drain; the workers must land first
 		t.Fatal(err)
 	}

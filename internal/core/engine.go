@@ -107,10 +107,14 @@ type Stats struct {
 	// that state covers. Both zero before any checkpoint activity.
 	LastCheckpointID     uint64
 	LastCheckpointWALLSN uint64
-	// MemoryBytes estimates the RAM held by sketches, gutters and the
-	// write-back cache; DiskBytes the on-device footprint (sketch slots +
-	// gutter tree).
+	// MemoryBytes estimates the RAM held by sketches, gutters, the
+	// write-back cache and the before-images; DiskBytes the on-device
+	// footprint (sketch slots + gutter tree).
 	MemoryBytes, DiskBytes int64
+	// BeforeImageBytes is the RAM held by delta-query before-images: the
+	// live images captured since the last cached query plus the retired
+	// slot buffers kept for reuse. Zero until a query result is cached.
+	BeforeImageBytes int64
 	// WAL reports write-ahead-log activity (appends, bytes, fsyncs,
 	// group commits, truncations, recovery scan results). All zero with
 	// the WAL disabled.
@@ -228,10 +232,10 @@ type Engine struct {
 	suspectQueries atomic.Uint64
 	colZeroRoots   atomic.Uint64
 	// beforeNodes counts nodes holding a captured before-image across all
-	// shards' maps; beforeLimit stops capture just past the delta query's
-	// fallback threshold, where the images could no longer pay for
-	// themselves (captureBefore).
+	// shards' maps and beforeFree the retired slot buffers on the shards'
+	// free lists; beforeLimit caps both counts (captureBefore).
 	beforeNodes atomic.Uint64
+	beforeFree  atomic.Int64
 	beforeLimit uint64
 
 	// Checkpoint subsystem state (checkpoint.go). ckptMu serializes whole
@@ -342,9 +346,9 @@ type shard struct {
 	dirtySeal *bitset.Atomic
 
 	// before maps each node this worker *first*-dirtied since the last
-	// cached query to the node's serialized pre-change sketch stack (RAM
-	// mode only). The delta query's diff materialization XORs these against
-	// the live slabs to rebuild an affected supernode's cut from its dirty
+	// cached query to the node's serialized pre-change sketch stack. The
+	// delta query's diff materialization XORs these against the live
+	// sketches to rebuild an affected supernode's cut from its dirty
 	// members alone (query.go). Single writer (this worker — apply
 	// exclusivity covers migrated slices); read, replaced and cleared only
 	// under the quiesce write lock with the workers idle. free holds slot
@@ -387,10 +391,16 @@ func NewEngine(cfg Config) (*Engine, error) {
 	proto := cubesketch.New(e.vecLen, cfg.Columns, cfg.Seed)
 	e.sketchSize = proto.SerializedSize()
 	e.slotSize = e.sketchSize * cfg.Rounds
-	// One past the fallback threshold: while every first-dirtying below the
-	// limit captured an image, a refused capture implies the dirty count
-	// already exceeds the threshold and the next query falls back anyway.
-	e.beforeLimit = uint64(cfg.DeltaQueryMaxDirtyFrac*float64(cfg.NumNodes)) + 1
+	// The before-image limit sits one past the delta query's fallback
+	// threshold. In RAM, where every first dirtying below the limit
+	// captures, a refused capture implies the dirty count already exceeds
+	// the threshold and the next query falls back anyway. Disk mode lowers
+	// the limit to a share of the cache budget (below); there a refused
+	// capture only demotes the node's component to full re-materialization
+	// (runDeltaBoruvka). With the delta path off, nothing is captured.
+	if !cfg.NoDeltaQuery {
+		e.beforeLimit = uint64(cfg.DeltaQueryMaxDirtyFrac*float64(cfg.NumNodes)) + 1
+	}
 
 	// Resolve the disk-tier geometry: group slots sized toward the device
 	// block (the paper's max{1, B / sketch bytes} node grouping), and the
@@ -417,6 +427,10 @@ func NewEngine(cfg Config) (*Engine, error) {
 			e.cfg.CacheBytes = DefaultCacheBytes
 		}
 		cfg = e.cfg
+		// Disk mode holds its before-images to a share of the cache budget,
+		// so the sketches' RAM bound stays CacheBytes-derived. An uncached
+		// engine (CacheBytes < 0) captures none.
+		e.beforeLimit = min(e.beforeLimit, uint64(max(cfg.CacheBytes, 0)/beforeImageCacheShare/int64(e.slotSize)))
 
 		e.storeDev, err = e.openDevice("sketches.gz0")
 		if err != nil {
@@ -869,12 +883,11 @@ func (e *Engine) applyBatch(sh *shard, b gutter.Batch) {
 	}
 	sh.batches.Add(1)
 	// A node's first dirtying since the last cached query snapshots its
-	// pre-change sketch bytes (RAM mode): that state is exactly what the
+	// pre-change sketch bytes into pre, filled by whichever apply path
+	// below holds the node's current state: that state is exactly what the
 	// cached result observed, and the delta query's diff materialization
 	// is built on the difference from it.
-	if e.store == nil {
-		e.captureBefore(sh, b.Node)
-	}
+	pre := e.captureBefore(sh, b.Node)
 	// Record the delta before touching the sketches: once set, the bit is
 	// only cleared after a query observed (and cached over) the applied
 	// state, so the incremental query path can never miss this change.
@@ -895,6 +908,9 @@ func (e *Engine) applyBatch(sh *shard, b gutter.Batch) {
 		if home != sh {
 			sh.foreign.Add(1)
 		}
+		if pre != nil {
+			home.slab.MarshalNode(local, pre)
+		}
 		home.slab.Apply(local, sh.indices)
 		return
 	}
@@ -905,18 +921,20 @@ func (e *Engine) applyBatch(sh *shard, b gutter.Batch) {
 	if e.cache != nil {
 		// Tiered path: the batch applies to the decoded group in the
 		// write-back cache; the device is touched only on miss fill and
-		// dirty write-back. Snapshot pre-image preservation happens at
-		// write-back time through the cache's write barrier, because
-		// that is the only point where device bytes change (the scanner
-		// reads the device, which a seal-time flush made coherent).
-		if err := e.cache.Apply(b.Node, sh.indices); err != nil {
+		// dirty write-back. The cache marshals the before-image, if one is
+		// being captured, from the decoded group it applies to. Snapshot
+		// pre-image preservation is separate: it happens at write-back
+		// time through the cache's write barrier, because that is the only
+		// point where device bytes change (the scanner reads the device,
+		// which a seal-time flush made coherent).
+		if err := e.cache.Apply(b.Node, sh.indices, pre); err != nil {
 			e.setErr(fmt.Errorf("core: applying batch to node %d: %w", b.Node, err))
 		}
 		return
 	}
 
 	// Uncached ablation path (CacheBytes < 0): one slot round trip per
-	// batch.
+	// batch. Its before-image budget is zero, so pre is nil here.
 	if err := e.store.Read(b.Node, sh.blob); err != nil {
 		e.setErr(fmt.Errorf("core: reading sketches of node %d: %w", b.Node, err))
 		return
@@ -938,37 +956,36 @@ func (e *Engine) applyBatch(sh *shard, b gutter.Batch) {
 	}
 }
 
-// captureBefore snapshots node's pre-change serialized sketch stack into
-// the executing shard's before-image map if this is the node's first
-// dirtying since the last cached query (no shard's dirty vector has it
-// yet). Because no apply touched the node in between, the image is the
-// state the cached result observed — which is what lets a delta query
+// captureBefore returns the slot buffer the caller must fill with node's
+// pre-change serialized sketch stack, registered in the executing shard's
+// before-image map, if this is the node's first dirtying since the last
+// cached query (no shard's dirty vector has it yet); nil otherwise.
+// Because no apply touched the node in between, the image is the state
+// the cached result observed — which is what lets a delta query
 // materialize an affected supernode's cut from its dirty members alone: a
 // cached component's round aggregate is the zero sketch (its cut was
 // certified empty), so XORing each dirty member's current-⊕-before diff
 // into zero reproduces the component's true current cut (query.go).
 //
-// Capture stops once beforeLimit nodes hold images: the limit sits just
-// past the delta query's fallback threshold, so a refusal here implies the
-// next query runs from scratch regardless. The coarse dirty-all state
-// (checkpoint merges) forces a from-scratch run too, so it skips capture
-// outright. The cross-shard dirty test is safe concurrently: bits are
-// only ever set by appliers and apply exclusivity serializes all applies
-// of one node, so the one goroutine executing this node's first apply
-// observes every earlier apply's bit.
-func (e *Engine) captureBefore(sh *shard, node uint32) {
-	if e.dirtyAll.Load() {
-		return
+// Nothing is captured before a query result is cached — there is no
+// baseline to diff against, and the first query runs cold — nor in the
+// coarse dirty-all state (checkpoint merges), which forces a from-scratch
+// run too. Capture also stops once beforeLimit nodes hold images; a node
+// dirtied without one demotes its component to full materialization in
+// the delta query. The cross-shard dirty test is safe concurrently: bits
+// are only ever set by appliers and apply exclusivity serializes all
+// applies of one node, so the one goroutine executing this node's first
+// apply observes every earlier apply's bit.
+func (e *Engine) captureBefore(sh *shard, node uint32) []byte {
+	if e.queryCache.Load() == nil || e.dirtyAll.Load() {
+		return nil
 	}
 	for _, s := range e.shards {
 		if s.dirty.Test(uint64(node)) {
-			return // not the first dirtying: the image, if any, is already right
+			return nil // not the first dirtying: the image, if any, is already right
 		}
 	}
-	if buf := e.beforeSlot(sh, node); buf != nil {
-		home, local := e.shardOf(node)
-		home.slab.MarshalNode(local, buf)
-	}
+	return e.beforeSlot(sh, node)
 }
 
 // beforeSlot records a new before-image of node in sh's map and returns
@@ -983,6 +1000,7 @@ func (e *Engine) beforeSlot(sh *shard, node uint32) []byte {
 	var buf []byte
 	if k := len(sh.free); k > 0 {
 		buf, sh.free = sh.free[k-1], sh.free[:k-1]
+		e.beforeFree.Add(-1)
 	} else {
 		buf = make([]byte, e.slotSize)
 	}
@@ -996,21 +1014,27 @@ func (e *Engine) beforeSlot(sh *shard, node uint32) []byte {
 
 // resetDirtyLocked starts a fresh incremental-query baseline: it clears
 // every dirty vector and the dirty-all bit, and retires the before-images,
-// returning their slot buffers to their shards' free lists (each list
-// capped at beforeLimit slots). The caller holds the quiesce write lock
-// with the workers idle.
+// returning their slot buffers to their shards' free lists (at most
+// beforeLimit buffers across all lists). The caller holds the quiesce
+// write lock with the workers idle.
 func (e *Engine) resetDirtyLocked() {
+	var free uint64
+	for _, sh := range e.shards {
+		free += uint64(len(sh.free))
+	}
 	for _, sh := range e.shards {
 		sh.dirty.ClearAll()
 		for _, img := range sh.before {
-			if uint64(len(sh.free)) < e.beforeLimit {
+			if free < e.beforeLimit {
 				sh.free = append(sh.free, img)
+				free++
 			}
 		}
 		clear(sh.before)
 	}
 	e.dirtyAll.Store(false)
 	e.beforeNodes.Store(0)
+	e.beforeFree.Store(int64(free))
 }
 
 func (e *Engine) setErr(err error) {
@@ -1088,6 +1112,8 @@ func (e *Engine) Stats() Stats {
 	if e.dirtyAll.Load() {
 		st.DirtyNodes = uint64(e.cfg.NumNodes)
 	}
+	st.BeforeImageBytes = (int64(e.beforeNodes.Load()) + e.beforeFree.Load()) * int64(e.slotSize)
+	st.MemoryBytes += st.BeforeImageBytes
 	if e.storeDev != nil {
 		st.SketchIO = e.storeDev.Stats()
 		st.DiskBytes += e.store.TotalBytes()

@@ -50,11 +50,14 @@ import (
 //     affected component whose cached forest is still intact (no forest
 //     edge has both endpoints dirty, so none can have been toggled away)
 //     is re-certified from its dirty members' sketch *diffs* against
-//     before-images the apply path captured at first dirtying: its cached
-//     aggregate was the zero sketch, so the diffs alone reproduce its
-//     current cut — O(dirty) sketch work, independent of component size.
-//     Only suspect components (a forest edge possibly deleted) split back
-//     to singletons and re-solve with full materialization. Above
+//     before-images the apply path captured at first dirtying (in RAM off
+//     the shard slab, on disk off the write-back cache's decoded group):
+//     its cached aggregate was the zero sketch, so the diffs alone
+//     reproduce its current cut — O(dirty) sketch work and, on disk,
+//     reads of only the dirty nodes' slots, independent of component
+//     size. Only suspect components (a forest edge possibly deleted, or a
+//     dirty member without an image) split back to singletons and re-solve
+//     with full materialization. Above
 //     DeltaQueryMaxDirtyFrac dirty nodes (or after a checkpoint merge,
 //     which dirties everything) the query falls back to the from-scratch
 //     run; either way the caller sees an identical contract.
@@ -271,7 +274,7 @@ type candidate struct {
 }
 
 // How a node contributes to its supernode's round aggregates during the
-// RAM-mode delta query's materialization (querySession.material).
+// delta query's materialization (querySession.material).
 const (
 	// matNone: a clean member of a non-suspect affected component. Its
 	// sketch is unchanged since the cached result, whose component
@@ -311,7 +314,7 @@ type querySession struct {
 	// material and before drive the delta query's diff materialization
 	// (runDeltaBoruvka): per-node contribution tags and the before-images
 	// backing matDiff. material == nil means every live node merges its
-	// live sketch (full queries and the disk-mode delta).
+	// live sketch (full queries).
 	material []uint8
 	before   map[uint32][]byte
 }
@@ -376,6 +379,18 @@ func (q *querySession) prepareRound() int {
 		}
 	}
 	return len(q.roots)
+}
+
+// contribution returns the index into roots whose round aggregate node's
+// sketch merges into, or -1 when node contributes nothing this round: its
+// component is finished, or it is a matNone member under a delta query's
+// tagging.
+func (q *querySession) contribution(node int) int32 {
+	s := q.slot[q.rep[node]]
+	if s >= 0 && q.material != nil && q.material[node] == matNone {
+		return -1
+	}
+	return s
 }
 
 // allDiff reports whether every one of members contributes a matDiff
@@ -512,9 +527,9 @@ func (e *Engine) runBoruvka(epoch uint64) (*queryResult, error) {
 // or was toggled since, dirtying both endpoints), so the carried-over
 // partition is never disturbed.
 //
-// Affected components split two ways in RAM mode. A cached component's
-// round aggregates are the ZERO sketch (its cut was certified empty), so
-// if its cached forest is still trustworthy its current round-r aggregate
+// Affected components split two ways. A cached component's round
+// aggregates are the ZERO sketch (its cut was certified empty), so if its
+// cached forest is still trustworthy its current round-r aggregate
 // equals the XOR of its dirty members' current-⊕-before diffs — the
 // before-images the apply path captured at each node's first dirtying.
 // Toggles internal to the component enter two members' diffs and cancel;
@@ -525,11 +540,11 @@ func (e *Engine) runBoruvka(epoch uint64) (*queryResult, error) {
 // suspect (a deletion dirties exactly its two endpoints), and it demotes
 // its whole component to the slow path — split back to singletons, full
 // member materialization — because a lost forest edge can disconnect it.
-// A dirty node with no before-image (capture stopped at the overflow
-// limit, which only happens past the fallback threshold) demotes its
-// component the same way. Non-forest deletions cannot disconnect a
-// non-suspect component: its forest still spans it. Disk mode captures no
-// images, so every affected component takes the slow path there.
+// A dirty node with no before-image (capture refused at the image budget,
+// or a disk-mode out-of-band change) demotes its component the same way.
+// Non-forest deletions cannot disconnect a non-suspect component: its
+// forest still spans it. RAM and disk mode share all of this; they differ
+// only in where sampleRound reads the sketches from.
 //
 // ok=false (with no error) means the affected components failed to
 // certify within the sketch depth; the caller falls back to the
@@ -545,46 +560,41 @@ func (e *Engine) runDeltaBoruvka(epoch uint64, prev *queryResult, dirty *bitset.
 		return true
 	})
 
-	ramMode := e.store == nil
-	var suspect []bool // indexed by prev representative; nil in disk mode
-	var before map[uint32][]byte
-	if ramMode {
-		suspect = q.suspect
-		clear(suspect)
-		demoted := false
-		for _, eg := range prev.forest {
-			if dirty.Test(uint64(eg.U)) && dirty.Test(uint64(eg.V)) {
-				suspect[prev.rep[eg.U]] = true
-				demoted = true
-			}
+	suspect := q.suspect // indexed by prev representative
+	clear(suspect)
+	demoted := false
+	for _, eg := range prev.forest {
+		if dirty.Test(uint64(eg.U)) && dirty.Test(uint64(eg.V)) {
+			suspect[prev.rep[eg.U]] = true
+			demoted = true
 		}
-		if demoted {
-			e.suspectQueries.Add(1)
-		}
-		// The images live in per-executing-shard maps (a node's first
-		// dirtying can happen on any worker under a migrated assignment);
-		// flatten them for per-node lookup. The maps are disjoint by
-		// construction — only the first dirtying captures.
-		before = make(map[uint32][]byte, e.beforeNodes.Load())
-		for _, sh := range e.shards {
-			for node, img := range sh.before {
-				before[node] = img
-			}
-		}
-		dirty.ForEach(func(i uint64) bool {
-			if r := prev.rep[i]; !suspect[r] {
-				if _, have := before[uint32(i)]; !have {
-					suspect[r] = true
-				}
-			}
-			return true
-		})
 	}
+	if demoted {
+		e.suspectQueries.Add(1)
+	}
+	// The images live in per-executing-shard maps (a node's first dirtying
+	// can happen on any worker under a migrated assignment); flatten them
+	// for per-node lookup. The maps are disjoint by construction — only
+	// the first dirtying captures.
+	before := make(map[uint32][]byte, e.beforeNodes.Load())
+	for _, sh := range e.shards {
+		for node, img := range sh.before {
+			before[node] = img
+		}
+	}
+	dirty.ForEach(func(i uint64) bool {
+		if r := prev.rep[i]; !suspect[r] {
+			if _, have := before[uint32(i)]; !have {
+				suspect[r] = true
+			}
+		}
+		return true
+	})
 
 	forest := make([]stream.Edge, 0, n-1)
 	for _, eg := range prev.forest {
 		r := prev.rep[eg.U]
-		if !affected[r] || (ramMode && !suspect[r]) {
+		if !affected[r] || !suspect[r] {
 			// Clean components keep their trees — and so do affected but
 			// non-suspect ones, whose intactness the suspect scan just
 			// certified: they stay pre-merged but live, to be re-certified
@@ -598,22 +608,20 @@ func (e *Engine) runDeltaBoruvka(epoch uint64, prev *queryResult, dirty *bitset.
 			q.finished[q.d.Find(uint32(i))] = true
 		}
 	}
-	if ramMode {
-		q.before = before
-		q.material = q.tags // matNone unless tagged below
-		clear(q.material)
-		for i := 0; i < n; i++ {
-			if r := prev.rep[i]; affected[r] && suspect[r] {
-				q.material[i] = matSlab
-			}
+	q.before = before
+	q.material = q.tags // matNone unless tagged below
+	clear(q.material)
+	for i := 0; i < n; i++ {
+		if r := prev.rep[i]; affected[r] && suspect[r] {
+			q.material[i] = matSlab
 		}
-		dirty.ForEach(func(i uint64) bool {
-			if !suspect[prev.rep[i]] {
-				q.material[i] = matDiff
-			}
-			return true
-		})
 	}
+	dirty.ForEach(func(i uint64) bool {
+		if !suspect[prev.rep[i]] {
+			q.material[i] = matDiff
+		}
+		return true
+	})
 	live, rounds, err := e.boruvkaRounds(q, &forest)
 	if err != nil {
 		return nil, false, err
@@ -941,13 +949,19 @@ func (e *Engine) mergeMembers(q *querySession, acc *cubesketch.Sketch, members [
 // their decoded arenas with zero device I/O — which is also what keeps the
 // scan coherent: a dirty cached group's device bytes are stale by design,
 // so the cache copy is the authoritative one. The remaining (uncached)
-// live groups are coalesced into sequential runs (bridging gaps cheaper
-// than an extra operation), each run read with ReadRange in
+// contributing groups are coalesced into sequential runs (bridging gaps
+// cheaper than an extra operation), each run read with ReadRange in
 // queryScanBytes-sized chunks, and each slot's round-r bytes XOR-merged
 // into its root's arena sketch without decoding the other rounds. One
 // round costs O(uncachedLiveBytes/B) block reads in O(runs ×
 // chunksPerRun) operations — against the seed path's one Read per node
 // across all rounds.
+//
+// Under a delta query's tagging the scan honors the same contributions
+// as the RAM path: matNone nodes are skipped (so a trickle with no
+// suspect component reads only its dirty nodes' groups, which the apply
+// path has just left in the cache), and each matDiff node's before-image
+// round bytes are XORed onto its current bytes.
 func (e *Engine) scanRoundFromDisk(q *querySession, arena *cubesketch.Slab, round int) error {
 	n := int(e.cfg.NumNodes)
 	npg := e.npg
@@ -967,10 +981,21 @@ func (e *Engine) scanRoundFromDisk(q *querySession, arena *cubesketch.Slab, roun
 	roundOff := round * e.sketchSize
 
 	var acc, view cubesketch.Sketch
-	liveAt := func(node int) bool { return q.slot[q.rep[node]] >= 0 }
+	// mergeBefore turns a matDiff node's merged contribution into its diff
+	// since the cached result by XORing in its before-image's round bytes.
+	mergeBefore := func(nd int) error {
+		if q.material == nil || q.material[nd] != matDiff {
+			return nil
+		}
+		img := q.before[uint32(nd)]
+		if err := acc.MergeBinary(img[roundOff : roundOff+e.sketchSize]); err != nil {
+			return fmt.Errorf("core: query merge of node %d's before-image round %d: %w", nd, round, err)
+		}
+		return nil
+	}
 
 	// flushRun reads the pending uncached slot run [lo, hi) in chunks and
-	// merges every live slot's round-r bytes.
+	// merges every contributing slot's round-r bytes.
 	flushRun := func(lo, hi int) error {
 		for cl := lo; cl < hi; cl += chunkSlots {
 			ch := cl + chunkSlots
@@ -982,7 +1007,7 @@ func (e *Engine) scanRoundFromDisk(q *querySession, arena *cubesketch.Slab, roun
 				return fmt.Errorf("core: query scan of nodes [%d,%d): %w", cl, ch, err)
 			}
 			for nd := cl; nd < ch; nd++ {
-				s := q.slot[q.rep[nd]]
+				s := q.contribution(nd)
 				if s < 0 {
 					continue // bridged gap slot
 				}
@@ -990,6 +1015,9 @@ func (e *Engine) scanRoundFromDisk(q *querySession, arena *cubesketch.Slab, roun
 				off := (nd-cl)*e.slotSize + roundOff
 				if err := acc.MergeBinary(buf[off : off+e.sketchSize]); err != nil {
 					return fmt.Errorf("core: query decode of node %d round %d: %w", nd, round, err)
+				}
+				if err := mergeBefore(nd); err != nil {
+					return err
 				}
 			}
 		}
@@ -1006,7 +1034,7 @@ func (e *Engine) scanRoundFromDisk(q *querySession, arena *cubesketch.Slab, roun
 		}
 		anyLive := false
 		for nd := lo; nd < hi && !anyLive; nd++ {
-			anyLive = liveAt(nd)
+			anyLive = q.contribution(nd) >= 0
 		}
 		if !anyLive {
 			continue // a gap; bridged below if the next live group is near
@@ -1024,7 +1052,7 @@ func (e *Engine) scanRoundFromDisk(q *querySession, arena *cubesketch.Slab, roun
 					runStart = -1
 				}
 				for nd := lo; nd < hi; nd++ {
-					s := q.slot[q.rep[nd]]
+					s := q.contribution(nd)
 					if s < 0 {
 						continue
 					}
@@ -1032,6 +1060,9 @@ func (e *Engine) scanRoundFromDisk(q *querySession, arena *cubesketch.Slab, roun
 					slab.View(nd-lo, round, &view)
 					if err := acc.Merge(&view); err != nil {
 						return fmt.Errorf("core: query merge of cached node %d round %d: %w", nd, round, err)
+					}
+					if err := mergeBefore(nd); err != nil {
+						return err
 					}
 				}
 				continue

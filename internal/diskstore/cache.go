@@ -153,7 +153,12 @@ func (c *Cache) shardOf(group int) *cacheShard {
 // the budget), the batch applies to the decoded arena, and the group is
 // marked dirty. The device is touched only on miss fill and dirty
 // write-back — repeated batches against resident groups are pure RAM.
-func (c *Cache) Apply(node uint32, indices []uint64) error {
+//
+// A non-nil pre (SlotSize bytes) receives the node's serialized sketch
+// stack as it was before this batch, marshaled from the decoded group
+// under the shard lock: the engine's before-image capture for delta
+// queries, at no device cost beyond the fill the apply needs anyway.
+func (c *Cache) Apply(node uint32, indices []uint64, pre []byte) error {
 	g := c.store.GroupOf(node)
 	sh := c.shardOf(g)
 	sh.mu.Lock()
@@ -162,7 +167,11 @@ func (c *Cache) Apply(node uint32, indices []uint64) error {
 	if err != nil {
 		return err
 	}
-	e.slab.Apply(int(node)-g*c.store.NodesPerGroup(), indices)
+	local := int(node) - g*c.store.NodesPerGroup()
+	if pre != nil {
+		e.slab.MarshalNode(local, pre)
+	}
+	e.slab.Apply(local, indices)
 	e.dirty = true
 	e.ref = true
 	return nil
